@@ -1,21 +1,56 @@
-"""Shared machinery for the fixpoint algorithms.
+"""The one fixpoint engine behind every relation and approximant level.
 
-States are either :class:`ProcessState` (event-structure semantics) or
-:class:`SyncTree` (tree-native semantics, pomset/step kinds only).  The
-history-preserving relations additionally work over posetal triples
-``(C, f, D)`` with ``f`` an isomorphism of history posets, materialized
-lazily per structure pair and memoized.
+Every relation is the greatest fixpoint of one functional over a
+product: state pairs for the pomset/step kinds, posetal triples
+``(C, f, D)`` (``f`` an isomorphism of history posets) for hp/hhp.
+Starting from the whole product, the engine removes in synchronous
+Kleene rounds the nodes the functional rejects, re-examining after each
+round only the nodes that depend on one just removed, and records the
+round in which each node drops out.  That round is the node's level:
+the node lies in the level-n approximant exactly when it has no rank or
+a rank above n.  :func:`ranks` returns this rank map, memoized per query
+shape; verdicts, approximant levels and witnesses are all read from it.
+
+Bisimulation and prebisimulation share the functional (:func:`demand`)
+and differ in one guard: prebisimulation asks for back-transfer and
+convergence only from convergent left states, and under a restriction
+set only when every initial pomset of the left state is in the set.
+
+For the pomset/step kinds each side's states are interned as ints once
+per query, straight from the transition table (or the subtrees under the
+tree-native semantics), with successors grouped by pomset, and only the
+matched-label pair product reachable from the root pair is explored.
+The hp/hhp kinds run the same rounds over the posetal triple tables,
+which are built once per structure pair and memoized.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from . import estructure as es_mod
 from . import synctree as st_mod
+from .errors import StructuralError
 from .estructure import Config, PrimeEventStructure, ProcessState
+from .pomset import singleton
 from .synctree import SyncTree
+
+OMEGA = "omega"
+
+
+class RelationKind(enum.Enum):
+    POMSET = "pomset"
+    STEP = "step"
+    HP = "hp"
+    HHP = "hhp"
+
+    @property
+    def posetal(self) -> bool:
+        return self in (RelationKind.HP, RelationKind.HHP)
+
 
 # ---------------------------------------------------------------------------
 # uniform state interface (pomset / step kinds)
@@ -55,6 +90,18 @@ def pair_space(p, q) -> frozenset:
     return frozenset(
         (x, y) for x in state_space(p) for y in state_space(q)
     )
+
+
+def transition_rows(state):
+    """``(state, its (Pomset, target) transitions)`` over ``state_space(state)``.
+
+    Read straight from the transition table (or the subtrees), without
+    building a state object per transition.  Under the event-structure
+    semantics states are configurations.
+    """
+    if isinstance(state, SyncTree):
+        return ((t, st_mod.tree_transitions(t)) for t in st_mod.subtrees(state))
+    return es_mod._pomset_transition_table(state.structure).items()
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +230,267 @@ def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
         fwd[(c, f, d)] = tuple(fw)
         bwd[(c, f, d)] = tuple(bw)
     return fwd, bwd
+
+
+# ---------------------------------------------------------------------------
+# the functional
+# ---------------------------------------------------------------------------
+
+
+def demand(fwd, bwd, left_div, right_div, restriction, pre):
+    """What the functional asks of one node, whatever the relation.
+
+    ``fwd`` and ``bwd`` list the node's transfer obligations as
+    ``(label, candidate nodes)``: one per transition of the left
+    (right) state, naming the nodes that would match it.  The result is
+    the candidate groups that must each keep a member in the relation,
+    or ``None`` when the node fails outright.  Bisimulation (``pre``
+    false) asks for both directions.  Prebisimulation asks for the
+    backward direction, a convergent right state and right initials
+    inside ``restriction`` only when the left state converges and its
+    initials lie inside ``restriction``.  A restriction (``None`` for
+    none) drops the obligations labelled outside it.
+    """
+
+    def allowed(obligations):
+        return [cands for lab, cands in obligations
+                if restriction is None or lab in restriction]
+
+    groups = allowed(fwd)
+    if pre:
+        if left_div or len(groups) < len(fwd):
+            return groups
+        back = allowed(bwd)
+        return None if right_div or len(back) < len(bwd) else groups + back
+    return groups + allowed(bwd)
+
+
+def holds(groups, relation) -> bool:
+    """Whether a node with these demands is kept by one application."""
+    return groups is not None and all(
+        any(c in relation for c in cands) for cands in groups
+    )
+
+
+def pair_transfers(gx, gy):
+    """The transfer obligations of a state pair.
+
+    ``gx`` and ``gy`` map each label to the successors of the left and
+    right state under it; candidates are successor pairs.
+    """
+    fwd = [(u, [(x2, y2) for y2 in gy.get(u, ())])
+           for u, xs in gx.items() for x2 in xs]
+    bwd = [(v, [(x2, y2) for x2 in gx.get(v, ())])
+           for v, ys in gy.items() for y2 in ys]
+    return fwd, bwd
+
+
+# ---------------------------------------------------------------------------
+# rounds and rank maps
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Ranks:
+    """The rank map of one product.
+
+    ``rank`` maps each removed node to the Kleene round that removed it;
+    nodes never removed have no entry.  ``fwd`` and ``bwd`` are the
+    root's transfer obligations, labelled by pomsets and in witness
+    order.  ``size`` counts the nodes explored.
+    """
+
+    rank: dict
+    root: object
+    fwd: tuple
+    bwd: tuple
+    size: int
+
+    @property
+    def level(self) -> Optional[int]:
+        """The root's rank: the first approximant level without it."""
+        return self.rank.get(self.root)
+
+    @property
+    def depth(self) -> int:
+        """Rounds until the functional is stable on the explored nodes."""
+        return max(self.rank.values(), default=0)
+
+    def holds_at(self, n) -> bool:
+        """Whether the root lies in the level-``n`` approximant."""
+        level = self.level
+        return level is None or (n != OMEGA and level > n)
+
+
+def _rounds(demands, supers=None) -> dict:
+    """Remove nodes in synchronous Kleene rounds; return their ranks.
+
+    ``demands`` maps every node to its :func:`demand`.  With ``supers``
+    (hhp) a node is removed in the same round as any of its immediate
+    sub-nodes, so every level stays downward closed.
+    """
+    alive = set(demands)
+    preds = {n: [] for n in demands}
+    for n, groups in demands.items():
+        for cands in groups or ():
+            for c in cands:
+                preds[c].append(n)
+    rank = {}
+    out = [n for n, groups in demands.items() if not holds(groups, alive)]
+    level = 0
+    while out:
+        level += 1
+        alive.difference_update(out)
+        if supers is not None:
+            stack = list(out)
+            while stack:
+                for s in supers.get(stack.pop(), ()):
+                    if s in alive:
+                        alive.discard(s)
+                        out.append(s)
+                        stack.append(s)
+        for n in out:
+            rank[n] = level
+        touched = {m for n in out for m in preds[n] if m in alive}
+        out = [m for m in touched if not holds(demands[m], alive)]
+    return rank
+
+
+def _interned(state, step_only, pids):
+    """The states of ``state``'s system as ints.
+
+    Returns each state's successors grouped by pomset id, each state's
+    divergence, and the id of ``state``.  ``pids`` interns pomsets and is
+    shared by both sides of a product.
+    """
+    rows = list(transition_rows(state))
+    index = {s: i for i, (s, _) in enumerate(rows)}
+    groups = []
+    for _, trans in rows:
+        g = {}
+        for u, s2 in trans:
+            if not step_only or u.is_step():
+                g.setdefault(pids.setdefault(u, len(pids)), []).append(index[s2])
+        groups.append(g)
+    if isinstance(state, SyncTree):
+        return groups, [t.divergent for t, _ in rows], index[state]
+    div = state.structure.divergent_configs
+    return groups, [c in div for c, _ in rows], index[state.config]
+
+
+def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
+    """Rounds over the matched-label pair product reachable from (p, q).
+
+    With ``everywhere`` the whole pair product is explored instead.
+    """
+    pids = {}
+    gx, dx, xr = _interned(p, step_only, pids)
+    gy, dy, yr = _interned(q, step_only, pids)
+    pomsets = list(pids)
+    if restriction is not None:
+        restriction = {pids[u] for u in restriction if u in pids}
+    if everywhere:
+        pairs = [(x, y) for x in range(len(gx)) for y in range(len(gy))]
+    else:
+        pairs = [(xr, yr)]
+    index = {xy: i for i, xy in enumerate(pairs)}
+    root = index[(xr, yr)]
+
+    def node(xy):
+        i = index.get(xy)
+        if i is None:
+            i = index[xy] = len(pairs)
+            pairs.append(xy)
+        return i
+
+    demands = {}
+    i = 0
+    while i < len(pairs):
+        x, y = pairs[i]
+        fwd, bwd = pair_transfers(gx[x], gy[y])
+        fwd = [(u, [node(c) for c in cands]) for u, cands in fwd]
+        bwd = [(v, [node(c) for c in cands]) for v, cands in bwd]
+        demands[i] = demand(fwd, bwd, dx[x], dy[y], restriction, pre)
+        if i == root:
+            root_fwd, root_bwd = fwd, bwd
+        i += 1
+
+    def labelled(obligations):
+        out = [(pomsets[u], tuple(cands)) for u, cands in obligations]
+        return tuple(sorted(out, key=lambda o: o[0].sort_key))
+
+    return Ranks(_rounds(demands), root, labelled(root_fwd),
+                 labelled(root_bwd), len(pairs))
+
+
+def triple_demands(es1, es2, acts, pre) -> dict:
+    """The :func:`demand` of every triple of the posetal product.
+
+    ``acts`` (``None`` for none) restricts the observed actions.
+    """
+    fwd, bwd = triple_transitions(es1, es2)
+    div1, div2 = es1.divergent_configs, es2.divergent_configs
+    return {
+        t: demand(fwd[t], bwd[t], t[0] in div1, t[2] in div2, acts, pre)
+        for t in triple_space(es1, es2)
+    }
+
+
+def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
+    """Rounds over the whole posetal product of the two structures."""
+    acts = None
+    if restriction is not None:
+        acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
+    demands = triple_demands(es1, es2, acts, pre)
+    supers = None
+    if hereditary:
+        supers = {}
+        for t, subs in sub_triples(es1, es2).items():
+            for s in subs:
+                supers.setdefault(s, []).append(t)
+    fwd, bwd = triple_transitions(es1, es2)
+
+    def labelled(obligations):
+        return tuple((singleton(lab), cands) for lab, cands in obligations)
+
+    return Ranks(_rounds(demands, supers), ROOT_TRIPLE,
+                 labelled(fwd[ROOT_TRIPLE]), labelled(bwd[ROOT_TRIPLE]),
+                 len(demands))
+
+
+def _posetal_structures(p, q, kind):
+    if not isinstance(p, ProcessState) or not isinstance(q, ProcessState):
+        raise StructuralError(
+            f"the {kind.value} relations require the event-structure semantics"
+        )
+    if p.config or q.config:
+        raise StructuralError(
+            f"the {kind.value} relations are rooted at the empty configuration"
+        )
+    return p.structure, q.structure
+
+
+@lru_cache(maxsize=None)
+def ranks(p, q, kind: RelationKind, restriction=None, pre=False) -> Ranks:
+    """The rank map of (p, q) under ``kind``'s bisimulation functional.
+
+    With ``pre`` the prebisimulation functional is used instead, limited
+    to ``restriction`` (a set of pomsets) when one is given; hp/hhp read
+    its singleton pomsets as actions.
+    """
+    if kind.posetal:
+        es1, es2 = _posetal_structures(p, q, kind)
+        return _triple_ranks(es1, es2, kind is RelationKind.HHP,
+                             restriction, pre)
+    return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, pre)
+
+
+def stable_depth(p, q, kind: RelationKind, restriction=None) -> int:
+    """Rounds until the prebisimulation functional is stable on the whole product.
+
+    Unlike the root's rank this covers pairs unreachable from (p, q).
+    """
+    if kind.posetal:
+        return ranks(p, q, kind, restriction, True).depth
+    return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, True,
+                       everywhere=True).depth

@@ -138,11 +138,14 @@ def _run_check(args) -> int:
         verdict = bisim(left, right, kind, want_witness=args.witness)
     else:
         def one_way(a, b):
-            if restriction is not None:
-                params = StratParams(restriction, level)
-                return Verdict(prebisim.strat(a, b, kind, params))
             if level != OMEGA:
+                if restriction is not None:
+                    params = StratParams(restriction, level)
+                    return Verdict(prebisim.strat(a, b, kind, params))
                 return Verdict(prebisim.level_approx(a, b, kind, level))
+            if restriction is not None:
+                n = prebisim.first_failing_level(a, b, kind, restriction)
+                return Verdict(n is None, level=OMEGA if n is None else n)
             return prebisim.prebisim(a, b, kind, want_witness=args.witness)
 
         verdict = one_way(left, right)
@@ -157,7 +160,7 @@ def _run_check(args) -> int:
         "relation": relation,
         "preorder": bool(args.pre and not args.kernel),
         "related": verdict.related,
-        "level": level,
+        "level": level if args.level is not None else verdict.level,
         "witness": _format_witness(verdict.witness),
         "semantics": args.semantics,
         "elapsed_ms": elapsed_ms,

@@ -1,40 +1,22 @@
-"""Greatest-fixpoint decision procedures for the four truly concurrent
-bisimulations: pomset, step, history-preserving (hp) and hereditary
-history-preserving (hhp).
+"""Decision procedures for the four truly concurrent bisimulations:
+pomset, step, history-preserving (hp) and hereditary history-preserving
+(hhp).
 
-Pomset/step bisimilarity is computed over state pairs; hp/hhp over
-posetal triples (configuration, history isomorphism, configuration),
-with hhp additionally pruned to a downward-closed relation.  All models
-are finite, so the fixpoints terminate.
+Each is the greatest fixpoint of the bisimulation functional over state
+pairs (pomset/step) or posetal triples (configuration, history
+isomorphism, configuration; hhp keeps the relation downward closed).
+The verdict, its level and its witness are all read from the rank map
+of :func:`pomcheck._engine.ranks`.  All models are finite, so the
+fixpoints terminate.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from ._engine import (
-    ROOT_TRIPLE,
-    pair_space,
-    successors,
-    sub_triples,
-    triple_space,
-    triple_transitions,
-)
+from ._engine import OMEGA, Ranks, RelationKind, ranks
 from .errors import StructuralError
-
-
-class RelationKind(enum.Enum):
-    POMSET = "pomset"
-    STEP = "step"
-    HP = "hp"
-    HHP = "hhp"
-
-    @property
-    def posetal(self) -> bool:
-        return self in (RelationKind.HP, RelationKind.HHP)
 
 
 @dataclass(frozen=True)
@@ -79,132 +61,29 @@ def extend_iso(f, e_left, e_right, label_left, label_right):
     return f | {(e_left, e_right)}
 
 
-# ---------------------------------------------------------------------------
-# pomset / step bisimulation over state pairs
-# ---------------------------------------------------------------------------
+def failure_witness(r: Ranks, restriction=None) -> Witness:
+    """The root's first transfer violation at the level it falls out.
+
+    Scans the root's forward then backward obligations (those labelled
+    inside ``restriction`` when one is given) for one whose every
+    candidate was already removed in an earlier round; falls back to the
+    level itself when the root fails on convergence alone.
+    """
+    level = r.level
+    for lab, cands in r.fwd + r.bwd:
+        if restriction is not None and lab not in restriction:
+            continue
+        if all(0 < r.rank.get(c, level) < level for c in cands):
+            return Witness("pomset", lab)
+    return Witness("level", level)
 
 
-def _pair_transfer_ok(x, y, rel, step_only):
-    for u, x2 in successors(x, step_only):
-        if not any(
-            u == v and (x2, y2) in rel for v, y2 in successors(y, step_only)
-        ):
-            return False
-    for v, y2 in successors(y, step_only):
-        if not any(
-            v == u and (x2, y2) in rel for u, x2 in successors(x, step_only)
-        ):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _pair_gfp(p, q, step_only):
-    rel = pair_space(p, q)
-    while True:
-        keep = frozenset(
-            (x, y) for (x, y) in rel if _pair_transfer_ok(x, y, rel, step_only)
-        )
-        if keep == rel:
-            return rel
-        rel = keep
-
-
-def _pair_failure_witness(p, q, step_only):
-    """First transfer violation of the root pair, with its level."""
-    rel = set(pair_space(p, q))
-    level = 0
-    while (p, q) in rel:
-        level += 1
-        rel = {
-            (x, y) for (x, y) in rel if _pair_transfer_ok(x, y, rel, step_only)
-        }
-    # find the unmatched label one level earlier
-    prev = set(pair_space(p, q))
-    for _ in range(level - 1):
-        prev = {
-            (x, y) for (x, y) in prev if _pair_transfer_ok(x, y, prev, step_only)
-        }
-    for u, p2 in sorted(successors(p, step_only), key=lambda t: t[0].sort_key):
-        if not any(
-            u == v and (p2, q2) in prev for v, q2 in successors(q, step_only)
-        ):
-            return Witness("pomset", u), level
-    for v, q2 in sorted(successors(q, step_only), key=lambda t: t[0].sort_key):
-        if not any(
-            v == u and (p2, q2) in prev for u, p2 in successors(p, step_only)
-        ):
-            return Witness("pomset", v), level
-    return Witness("level", level), level
-
-
-# ---------------------------------------------------------------------------
-# hp / hhp bisimulation over posetal triples
-# ---------------------------------------------------------------------------
-
-
-def _triple_transfer_ok(t, rel, fwd, bwd):
-    for _lab, cands in fwd[t]:
-        if not any(c in rel for c in cands):
-            return False
-    for _lab, cands in bwd[t]:
-        if not any(c in rel for c in cands):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _triple_gfp(es1, es2, hereditary):
-    rel = triple_space(es1, es2)
-    fwd, bwd = triple_transitions(es1, es2)
-    subs = sub_triples(es1, es2) if hereditary else None
-    while True:
-        keep = frozenset(t for t in rel if _triple_transfer_ok(t, rel, fwd, bwd))
-        if hereditary:
-            # downward closure: drop triples with a pruned sub-triple
-            while True:
-                keep2 = frozenset(
-                    t for t in keep if all(s in keep for s in subs[t])
-                )
-                if keep2 == keep:
-                    break
-                keep = keep2
-        if keep == rel:
-            return rel
-        rel = keep
-
-
-def _triple_failure_witness(es1, es2, hereditary):
-    fwd, bwd = triple_transitions(es1, es2)
-    subs = sub_triples(es1, es2) if hereditary else None
-    rel = set(triple_space(es1, es2))
-    level = 0
-    prev = rel
-    while ROOT_TRIPLE in rel:
-        level += 1
-        prev = rel
-        keep = {t for t in rel if _triple_transfer_ok(t, rel, fwd, bwd)}
-        if hereditary:
-            keep = {t for t in keep if all(s in keep for s in subs[t])}
-        rel = keep
-    for lab, cands in fwd[ROOT_TRIPLE]:
-        if not any(c in prev for c in cands):
-            return Witness("pomset", _action_pomset(lab)), level
-    for lab, cands in bwd[ROOT_TRIPLE]:
-        if not any(c in prev for c in cands):
-            return Witness("pomset", _action_pomset(lab)), level
-    return Witness("level", level), level
-
-
-def _action_pomset(label):
-    from .pomset import singleton
-
-    return singleton(label)
-
-
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
+def verdict(r: Ranks, want_witness: bool, restriction=None) -> Verdict:
+    """The root's verdict, with its level and optionally its witness."""
+    if r.level is None:
+        return Verdict(True, level=OMEGA)
+    w = failure_witness(r, restriction) if want_witness else None
+    return Verdict(False, witness=w, level=r.level)
 
 
 def bisim(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
@@ -214,34 +93,4 @@ def bisim(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
     pomset/step kinds only, :class:`SyncTree` values under the
     tree-native semantics).
     """
-    if kind.posetal:
-        from .estructure import ProcessState
-
-        if not isinstance(p, ProcessState) or not isinstance(q, ProcessState):
-            raise StructuralError(
-                f"{kind.value} bisimulation requires the event-structure semantics"
-            )
-        if p.config or q.config:
-            raise StructuralError(
-                f"{kind.value} bisimilarity is rooted at the empty configuration"
-            )
-        rel = _triple_gfp(
-            p.structure, q.structure, kind is RelationKind.HHP
-        )
-        if ROOT_TRIPLE in rel:
-            return Verdict(True)
-        if want_witness:
-            w, level = _triple_failure_witness(
-                p.structure, q.structure, kind is RelationKind.HHP
-            )
-            return Verdict(False, witness=w, level=level)
-        return Verdict(False)
-
-    step_only = kind is RelationKind.STEP
-    rel = _pair_gfp(p, q, step_only)
-    if (p, q) in rel:
-        return Verdict(True)
-    if want_witness:
-        w, level = _pair_failure_witness(p, q, step_only)
-        return Verdict(False, witness=w, level=level)
-    return Verdict(False)
+    return verdict(ranks(p, q, kind), want_witness)

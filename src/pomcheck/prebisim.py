@@ -2,38 +2,38 @@
 
 The functional behind the preorders keeps forward simulation
 unconditional and demands backward simulation (plus convergence of the
-right-hand process) only from convergent left-hand states.  On top of it
-this module builds: greatest prebisimulations, level-n approximants and
-their omega limits, the restriction-indexed stratification, the finitary
-preorder computed over a dominating finite restriction set, the
-tree-test characterization, and the induced kernel equivalences.
+right-hand process) only from convergent left-hand states.  It is the
+bisimulation functional of :mod:`pomcheck._engine` with that one guard
+added.  Every operation here reads the engine's rank map, which records
+the Kleene round in which each node drops out: greatest
+prebisimulations, level-n approximants and their omega limits, the
+restriction-indexed stratification and the finitary preorder computed
+over a dominating finite restriction set.  On top of them sit the
+tree-test characterization and the induced kernel equivalences.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import FrozenSet, Optional, Union
 
-from . import _engine
 from ._engine import (
-    ROOT_TRIPLE,
+    OMEGA,
+    demand,
     diverges,
-    pair_space,
-    state_space,
+    holds,
+    pair_transfers,
+    ranks,
+    stable_depth,
     sub_triples,
     successors,
-    triple_space,
-    triple_transitions,
+    transition_rows,
+    triple_demands,
 )
-from .equiv import RelationKind, Verdict, Witness
+from .equiv import RelationKind, Verdict, Witness, verdict
 from .errors import StructuralError
-from .estructure import ProcessState
 from .pomset import Pomset
-from .synctree import SyncTree
-
-OMEGA = "omega"
 
 Level = Union[int, str]
 
@@ -47,40 +47,24 @@ class StratParams:
 
     def __post_init__(self):
         object.__setattr__(self, "restriction", frozenset(self.restriction))
-        if self.level != OMEGA and (
-            not isinstance(self.level, int) or self.level < 0
-        ):
-            raise StructuralError(f"level must be a natural number or {OMEGA!r}")
+        _check_level(self.level)
+
+
+def _check_level(n):
+    if n != OMEGA and (not isinstance(n, int) or n < 0):
+        raise StructuralError(f"level must be a natural number or {OMEGA!r}")
 
 
 # ---------------------------------------------------------------------------
-# the functional over state pairs (pomset / step kinds)
+# one application of the functional (the engine's, over explicit relations)
 # ---------------------------------------------------------------------------
 
 
-def _pre_pair_ok(x, y, rel, step_only, restriction):
-    succ_x = successors(x, step_only)
-    succ_y = successors(y, step_only)
-    if restriction is None:
-        sx, sy = succ_x, succ_y
-    else:
-        sx = [(u, x2) for u, x2 in succ_x if u in restriction]
-        sy = [(v, y2) for v, y2 in succ_y if v in restriction]
-    for u, x2 in sx:
-        if not any(u == v and (x2, y2) in rel for v, y2 in succ_y):
-            return False
-    guard = not diverges(x)
-    if guard and restriction is not None:
-        guard = all(u in restriction for u, _ in succ_x)
-    if guard:
-        if diverges(y):
-            return False
-        if restriction is not None and not all(v in restriction for v, _ in succ_y):
-            return False
-        for v, y2 in sy:
-            if not any(v == u and (x2, y2) in rel for u, x2 in succ_x):
-                return False
-    return True
+def _grouped(state, step_only):
+    groups = {}
+    for u, s2 in successors(state, step_only):
+        groups.setdefault(u, []).append(s2)
+    return groups
 
 
 def apply_F(relation, space, kind: RelationKind, restriction=None):
@@ -95,39 +79,15 @@ def apply_F(relation, space, kind: RelationKind, restriction=None):
         raise StructuralError("apply_F is for the pomset/step kinds; see apply_F_hp")
     step_only = kind is RelationKind.STEP
     relation = frozenset(relation)
-    return frozenset(
-        (x, y)
-        for (x, y) in space
-        if _pre_pair_ok(x, y, relation, step_only, restriction)
-    )
 
+    def keeps(x, y):
+        fwd, bwd = pair_transfers(_grouped(x, step_only), _grouped(y, step_only))
+        return holds(
+            demand(fwd, bwd, diverges(x), diverges(y), restriction, True),
+            relation,
+        )
 
-# ---------------------------------------------------------------------------
-# the functional over posetal triples (hp / hhp kinds)
-# ---------------------------------------------------------------------------
-
-
-def _pre_triple_ok(t, rel, fwd, bwd, es1, es2, acts):
-    c, _f, d = t
-    for lab, cands in fwd[t]:
-        if acts is not None and lab not in acts:
-            continue
-        if not any(s in rel for s in cands):
-            return False
-    guard = c not in es1.divergent_configs
-    if guard and acts is not None:
-        guard = all(lab in acts for lab, _ in fwd[t])
-    if guard:
-        if d in es2.divergent_configs:
-            return False
-        if acts is not None and not all(lab in acts for lab, _ in bwd[t]):
-            return False
-        for lab, cands in bwd[t]:
-            if acts is not None and lab not in acts:
-                continue
-            if not any(s in rel for s in cands):
-                return False
-    return True
+    return frozenset((x, y) for (x, y) in space if keeps(x, y))
 
 
 def _prune_downward(rel, subs):
@@ -145,11 +105,10 @@ def apply_F_hp(relation, es1, es2, hereditary=False, acts=None):
     ``hereditary`` the result is intersected with its downward-closure-
     stable subset.
     """
-    space = triple_space(es1, es2)
-    fwd, bwd = triple_transitions(es1, es2)
     relation = frozenset(relation)
     out = frozenset(
-        t for t in space if _pre_triple_ok(t, relation, fwd, bwd, es1, es2, acts)
+        t for t, groups in triple_demands(es1, es2, acts, True).items()
+        if holds(groups, relation)
     )
     if hereditary:
         out = _prune_downward(out, sub_triples(es1, es2))
@@ -157,117 +116,37 @@ def apply_F_hp(relation, es1, es2, hereditary=False, acts=None):
 
 
 # ---------------------------------------------------------------------------
-# level sequences (memoized per system pair / kind / restriction)
+# public operations, all read from the engine's rank map
 # ---------------------------------------------------------------------------
 
 
-def _acts_of_restriction(restriction):
-    """Action labels named by the singleton pomsets of a restriction set."""
-    acts = set()
-    dropped = 0
-    for u in restriction:
-        if len(u) == 1:
-            acts.add(u.label_multiset()[0])
-        else:
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"{dropped} non-singleton pomset(s) in the restriction set are "
-            "ignored for the hp/hhp stratification",
-            stacklevel=3,
-        )
-    return frozenset(acts)
-
-
-@lru_cache(maxsize=None)
-def _pair_levels(space, kind, restriction):
-    step_only = kind is RelationKind.STEP
-    levels = [space]
-    while True:
-        cur = levels[-1]
-        nxt = frozenset(
-            (x, y)
-            for (x, y) in cur
-            if _pre_pair_ok(x, y, cur, step_only, restriction)
-        )
-        if nxt == cur:
-            return tuple(levels)
-        levels.append(nxt)
-
-
-@lru_cache(maxsize=None)
-def _triple_levels(es1, es2, hereditary, acts):
-    space = triple_space(es1, es2)
-    fwd, bwd = triple_transitions(es1, es2)
-    subs = sub_triples(es1, es2) if hereditary else None
-    levels = [space]
-    while True:
-        cur = levels[-1]
-        nxt = frozenset(
-            t for t in cur if _pre_triple_ok(t, cur, fwd, bwd, es1, es2, acts)
-        )
-        if hereditary:
-            nxt = _prune_downward(nxt, subs)
-        if nxt == cur:
-            return tuple(levels)
-        levels.append(nxt)
-
-
-def _require_root_states(p, q, kind):
-    if not isinstance(p, ProcessState) or not isinstance(q, ProcessState):
-        raise StructuralError(
-            f"the {kind.value} relations require the event-structure semantics"
-        )
-    if p.config or q.config:
-        raise StructuralError(
-            f"the {kind.value} relations are rooted at the empty configuration"
-        )
-
-
-def _levels_and_member(p, q, kind, restriction):
-    """Stabilizing level sequence plus the membership probe for (p, q)."""
-    if kind.posetal:
-        _require_root_states(p, q, kind)
-        acts = None if restriction is None else _acts_of_restriction(restriction)
-        levels = _triple_levels(
-            p.structure, q.structure, kind is RelationKind.HHP, acts
-        )
-        return levels, ROOT_TRIPLE
-    levels = _pair_levels(pair_space(p, q), kind, restriction)
-    return levels, (p, q)
-
-
-def _member_at(levels, probe, n):
-    if n == OMEGA:
-        return probe in levels[-1]
-    return probe in levels[min(n, len(levels) - 1)]
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
+def _ranks(p, q, kind, restriction):
+    """The rank map of (p, q) under the prebisimulation functional."""
+    if kind.posetal and restriction is not None:
+        dropped = sum(1 for u in restriction if len(u) != 1)
+        if dropped:
+            warnings.warn(
+                f"{dropped} non-singleton pomset(s) in the restriction set are "
+                "ignored for the hp/hhp stratification",
+                stacklevel=3,
+            )
+    return ranks(p, q, kind, restriction, True)
 
 
 def prebisim(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
     """Greatest prebisimulation of the given kind; left ≲ right."""
-    levels, probe = _levels_and_member(p, q, kind, None)
-    if probe in levels[-1]:
-        return Verdict(True)
-    if want_witness:
-        return Verdict(False, witness=_failure_witness(p, q, kind, None, levels))
-    return Verdict(False)
+    return verdict(_ranks(p, q, kind, None), want_witness)
 
 
 def level_approx(p, q, kind: RelationKind, n: Level) -> bool:
     """Membership in the n-th approximant of the unrestricted functional."""
-    levels, probe = _levels_and_member(p, q, kind, None)
-    return _member_at(levels, probe, n)
+    _check_level(n)
+    return _ranks(p, q, kind, None).holds_at(n)
 
 
 def strat(p, q, kind: RelationKind, params: StratParams) -> bool:
     """Membership in the restriction-indexed stratified approximant."""
-    levels, probe = _levels_and_member(p, q, kind, params.restriction)
-    return _member_at(levels, probe, params.level)
+    return _ranks(p, q, kind, params.restriction).holds_at(params.level)
 
 
 def strat_omega(p, q, kind: RelationKind, restriction) -> bool:
@@ -277,20 +156,18 @@ def strat_omega(p, q, kind: RelationKind, restriction) -> bool:
 
 def first_failing_level(p, q, kind: RelationKind, restriction=None) -> Optional[int]:
     """Least n at which (p, q) falls out of the approximant chain, if any."""
-    levels, probe = _levels_and_member(p, q, kind, restriction)
-    for n, rel in enumerate(levels):
-        if probe not in rel:
-            return n
-    return None
+    return _ranks(p, q, kind, restriction).level
 
 
 def _sort_pomsets(state, kind: RelationKind) -> frozenset:
-    """All transition labels reachable in ``state``'s system."""
+    """All transition labels of ``state``'s system."""
     step_only = kind is RelationKind.STEP
-    acc = set()
-    for s in state_space(state):
-        acc.update(u for u, _ in successors(s, step_only))
-    return frozenset(acc)
+    return frozenset(
+        u
+        for _, trans in transition_rows(state)
+        for u, _ in trans
+        if not step_only or u.is_step()
+    )
 
 
 def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
@@ -315,14 +192,7 @@ def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
 def fin_preorder(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
     """The finitary preorder: stratified limit over the dominating set."""
     pmax = dominating_restriction(p, q, kind)
-    levels, probe = _levels_and_member(p, q, kind, pmax)
-    if probe in levels[-1]:
-        return Verdict(True, level=OMEGA)
-    n = next(i for i, rel in enumerate(levels) if probe not in rel)
-    w = None
-    if want_witness:
-        w = _failure_witness(p, q, kind, pmax, levels)
-    return Verdict(False, witness=w, level=n)
+    return verdict(_ranks(p, q, kind, pmax), want_witness, pmax)
 
 
 def finitary_via_trees(
@@ -350,8 +220,7 @@ def finitary_via_trees(
         return Verdict(False, witness=Witness("tree", t), level=fin.level)
     pmax = dominating_restriction(p, q, kind)
     if max_depth is None:
-        levels, _ = _levels_and_member(p, q, kind, pmax)
-        max_depth = len(levels)
+        max_depth = stable_depth(p, q, kind, pmax) + 1
     checked = 0
     exhausted = False
     for t in testgen.enumerate_trees(pmax, max_depth, max_width):
@@ -366,47 +235,9 @@ def finitary_via_trees(
             raise InternalInconsistencyError(
                 "tree test contradicts the finitary preorder; this is a bug"
             )
-    return Verdict(True, definitive=not exhausted)
+    return Verdict(True, level=OMEGA, definitive=not exhausted)
 
 
 def kernel(p, q, kind: RelationKind) -> bool:
     """Kernel equivalence: the preorder in both directions."""
     return prebisim(p, q, kind).related and prebisim(q, p, kind).related
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def _failure_witness(p, q, kind, restriction, levels):
-    """First transfer violation of the root at the level it falls out."""
-    idx = next(i for i, rel in enumerate(levels) if _probe(p, q, kind) not in rel)
-    prev = levels[idx - 1] if idx else levels[0]
-    if kind.posetal:
-        fwd, bwd = triple_transitions(p.structure, q.structure)
-        acts = None if restriction is None else _acts_of_restriction(restriction)
-        from .pomset import singleton
-
-        for lab, cands in list(fwd[ROOT_TRIPLE]) + list(bwd[ROOT_TRIPLE]):
-            if acts is not None and lab not in acts:
-                continue
-            if not any(s in prev for s in cands):
-                return Witness("pomset", singleton(lab))
-        return Witness("level", idx)
-    step_only = kind is RelationKind.STEP
-    for u, p2 in sorted(successors(p, step_only), key=lambda t: t[0].sort_key):
-        if restriction is not None and u not in restriction:
-            continue
-        if not any(u == v and (p2, q2) in prev for v, q2 in successors(q, step_only)):
-            return Witness("pomset", u)
-    for v, q2 in sorted(successors(q, step_only), key=lambda t: t[0].sort_key):
-        if restriction is not None and v not in restriction:
-            continue
-        if not any(v == u and (p2, q2) in prev for u, p2 in successors(p, step_only)):
-            return Witness("pomset", v)
-    return Witness("level", idx)
-
-
-def _probe(p, q, kind):
-    return ROOT_TRIPLE if kind.posetal else (p, q)

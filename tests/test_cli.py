@@ -132,6 +132,20 @@ class TestCheck:
                            "--json", procfile)
         assert code == EXIT_RELATED and json.loads(out)["level"] == 0
 
+    def test_json_level_is_the_failing_level(self, procfile, capsys):
+        # without --level, level is where the pair falls out, or omega
+        for argv, expect in (
+            (("--left", "P", "--right", "Q", "--rel", "step"), 1),
+            (("--left", "A", "--right", "AW", "--rel", "pomset", "--pre"), 1),
+            (("--left", "A", "--right", "AW", "--rel", "hp", "--kernel"), 1),
+            (("--left", "P", "--right", "P", "--rel", "hhp"), "omega"),
+        ):
+            code, out, _ = run(capsys, "check", *argv, "--json", procfile)
+            payload = json.loads(out)
+            assert payload["level"] == expect
+            assert code == (EXIT_RELATED if expect == "omega"
+                            else EXIT_NOT_RELATED)
+
     def test_restrict_file(self, procfile, tmp_path, capsys):
         rfile = tmp_path / "restr.pom"
         rfile.write_text("a\n{a,b}\n", encoding="utf-8")
@@ -201,6 +215,12 @@ class TestInputErrors:
         code, _, _ = run(capsys, "check", "--left", "P", "--right", "Q",
                          "--rel", "step", "--level", "2", procfile)
         assert code == EXIT_INPUT
+
+    def test_negative_level_rejected(self, procfile, capsys):
+        code, _, err = run(capsys, "check", "--left", "A", "--right", "AW",
+                           "--rel", "pomset", "--pre", "--level", "-1",
+                           procfile)
+        assert code == EXIT_INPUT and "level" in err
 
     def test_tree_native_rejects_posetal(self, procfile, capsys):
         code, _, err = run(capsys, "check", "--left", "P", "--right", "Q",

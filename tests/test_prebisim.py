@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import kleene_oracle
 from conftest import tree_corpus
 from pomcheck import _engine
 from pomcheck import prebisim as pb
@@ -150,14 +151,21 @@ class TestLevels:
                 assert pb.level_approx(p, q, kind, OMEGA) == \
                     pb.prebisim(p, q, kind).related
 
+    def test_bad_level_rejected(self):
+        for n in (-1, "later"):
+            with pytest.raises(StructuralError):
+                pb.level_approx(A_NIL, A_NIL_W, RelationKind.POMSET, n)
+
     def test_stabilization_bound(self):
         for t1, t2 in zip(tree_corpus("stab-L", 10, 5, 5),
                           tree_corpus("stab-R", 10, 5, 5)):
             p, q = compiled(t1), compiled(t2)
             space = _engine.pair_space(p, q)
             for kind in PAIR_KINDS:
-                levels = pb._pair_levels(space, kind, None)
+                levels = kleene_oracle._pair_levels(space, kind, None)
                 assert len(levels) <= len(space) + 1
+                ranks = _engine.ranks(p, q, kind, None, True)
+                assert ranks.depth <= ranks.size
 
 
 class TestStrat:
