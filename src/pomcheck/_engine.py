@@ -8,8 +8,8 @@ Kleene rounds the nodes the functional rejects, re-examining after each
 round only the nodes that depend on one just removed, and records the
 round in which each node drops out.  That round is the node's level:
 the node lies in the level-n approximant exactly when it has no rank or
-a rank above n.  :func:`ranks` returns this rank map, memoized per query
-shape; verdicts, approximant levels and witnesses are all read from it.
+a rank above n.  :func:`ranks` computes this rank map afresh on each
+call; verdicts, approximant levels and witnesses are all read from it.
 
 Bisimulation and prebisimulation share the functional (:func:`demand`)
 and differ in one guard: prebisimulation asks for back-transfer and
@@ -21,20 +21,19 @@ per query, straight from the transition table (or the subtrees under the
 tree-native semantics), with successors grouped by pomset, and only the
 matched-label pair product reachable from the root pair is explored.
 The hp/hhp kinds run the same rounds over the posetal triple tables,
-which are built once per structure pair and memoized.
+which live on the left structure, keyed by the right one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
 from . import estructure as es_mod
 from . import synctree as st_mod
 from .errors import StructuralError
-from .estructure import Config, PrimeEventStructure, ProcessState
+from .estructure import Config, PrimeEventStructure, ProcessState, derived_table
 from .pomset import singleton
 from .synctree import SyncTree
 
@@ -75,7 +74,6 @@ def diverges(state) -> bool:
     return es_mod.divergent(state)
 
 
-@lru_cache(maxsize=None)
 def state_space(state) -> frozenset:
     """All states sharing ``state``'s underlying system."""
     if isinstance(state, SyncTree):
@@ -87,9 +85,8 @@ def state_space(state) -> frozenset:
 
 
 def pair_space(p, q) -> frozenset:
-    return frozenset(
-        (x, y) for x in state_space(p) for y in state_space(q)
-    )
+    ys = state_space(q)
+    return frozenset((x, y) for x in state_space(p) for y in ys)
 
 
 def transition_rows(state):
@@ -116,46 +113,38 @@ ROOT_TRIPLE: Triple = (frozenset(), frozenset(), frozenset())
 
 def _history_isos(es1: PrimeEventStructure, c: Config,
                   es2: PrimeEventStructure, d: Config):
-    """All label- and order-preserving bijections between two histories."""
+    """All label- and order-preserving bijections between two histories.
+
+    Partial bijections grow by one event of ``c`` at a time, in event
+    order, on an explicit stack: a recursive closure would be a
+    reference cycle holding both structures, and so all their derived
+    tables, until the cycle collector ran.
+    """
     if len(c) != len(d):
         return []
     left = sorted(c)
     right = sorted(d)
     isos = []
-
-    def caus1(e):
-        return es1.causes[e] & c
-
-    def caus2(e):
-        return es2.causes[e] & d
-
-    def extend(i, mapping, used):
-        if i == len(left):
-            isos.append(frozenset(mapping.items()))
-            return
-        e = left[i]
+    stack = [()]
+    while stack:
+        pairs = stack.pop()
+        if len(pairs) == len(left):
+            isos.append(frozenset(pairs))
+            continue
+        e = left[len(pairs)]
+        used = {b for _, b in pairs}
         for f in right:
             if f in used or es1.labels[e] != es2.labels[f]:
                 continue
             # order-preserving both ways over already-mapped events
-            ok = True
-            for a, b in mapping.items():
-                if (a in caus1(e)) != (b in caus2(f)):
-                    ok = False
-                    break
-                if (e in caus1(a)) != (f in caus2(b)):
-                    ok = False
-                    break
-            if ok:
-                mapping[e] = f
-                extend(i + 1, mapping, used | {f})
-                del mapping[e]
-
-    extend(0, {}, frozenset())
+            if all((a in es1.causes[e]) == (b in es2.causes[f])
+                   and (e in es1.causes[a]) == (f in es2.causes[b])
+                   for a, b in pairs):
+                stack.append(pairs + ((e, f),))
     return isos
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def triple_space(es1: PrimeEventStructure, es2: PrimeEventStructure) -> frozenset:
     """The posetal product of the two structures' configuration spaces."""
     triples = set()
@@ -166,7 +155,7 @@ def triple_space(es1: PrimeEventStructure, es2: PrimeEventStructure) -> frozense
     return frozenset(triples)
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
     """Immediate pointwise-sub-triple table for downward-closure pruning.
 
@@ -192,7 +181,7 @@ def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
     return table
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
     """Per-triple action-transfer candidate tables.
 
@@ -470,7 +459,6 @@ def _posetal_structures(p, q, kind):
     return p.structure, q.structure
 
 
-@lru_cache(maxsize=None)
 def ranks(p, q, kind: RelationKind, restriction=None, pre=False) -> Ranks:
     """The rank map of (p, q) under ``kind``'s bisimulation functional.
 
@@ -485,12 +473,14 @@ def ranks(p, q, kind: RelationKind, restriction=None, pre=False) -> Ranks:
     return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, pre)
 
 
-def stable_depth(p, q, kind: RelationKind, restriction=None) -> int:
+def stable_depth(p, q, kind: RelationKind, restriction=None, r=None) -> int:
     """Rounds until the prebisimulation functional is stable on the whole product.
 
     Unlike the root's rank this covers pairs unreachable from (p, q).
+    An hp/hhp rank map already covers the whole product: a caller that
+    holds ``ranks(p, q, kind, restriction, True)`` passes it as ``r``.
     """
     if kind.posetal:
-        return ranks(p, q, kind, restriction, True).depth
+        return (r or ranks(p, q, kind, restriction, True)).depth
     return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, True,
                        everywhere=True).depth

@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except (PomcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

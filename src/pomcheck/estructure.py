@@ -3,13 +3,13 @@
 This is the concrete semantic model: configurations, their history
 posets, pomset/step/action transitions and the divergence predicate are
 all evaluated here.  Structures are immutable after compilation; derived
-data (configuration sets, transition tables) is memoized write-once.
+tables are memoized write-once on the structure (:func:`derived_table`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Dict, FrozenSet, Tuple
 
 from .pomset import LabelledPoset, Pomset, canonicalize
@@ -32,7 +32,8 @@ class PrimeEventStructure:
     structures are distinct states spaces even if isomorphic.
     """
 
-    __slots__ = ("events", "labels", "causes", "conflicts", "divergent_configs")
+    __slots__ = ("events", "labels", "causes", "conflicts",
+                 "divergent_configs", "derived")
 
     def __init__(self, events, labels, causes, conflicts, divergent_configs):
         object.__setattr__(self, "events", tuple(sorted(events)))
@@ -44,6 +45,7 @@ class PrimeEventStructure:
             self, "conflicts", {e: frozenset(conflicts.get(e, ())) for e in events}
         )
         object.__setattr__(self, "divergent_configs", frozenset(divergent_configs))
+        object.__setattr__(self, "derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeEventStructure is immutable")
@@ -58,6 +60,20 @@ class PrimeEventStructure:
 
     def __repr__(self):
         return f"PrimeEventStructure({len(self.events)} events)"
+
+
+def derived_table(fn):
+    """Memoize ``fn(es, *args)`` in ``es.derived``; ``args`` join the key."""
+
+    @wraps(fn)
+    def table(es, *args):
+        key = (fn, *args)
+        value = es.derived.get(key)
+        if value is None:
+            value = es.derived[key] = fn(es, *args)
+        return value
+
+    return table
 
 
 @dataclass(frozen=True)
@@ -121,13 +137,12 @@ def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
     return es, ProcessState(es, EMPTY_CONFIG)
 
 
-@lru_cache(maxsize=None)
 def compiled(t: SyncTree) -> ProcessState:
-    """Memoized compile, returning the root state."""
+    """The root state of a fresh compile of ``t`` (not memoized)."""
     return compile_tree(t)[1]
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def configurations(es: PrimeEventStructure) -> frozenset:
     """All conflict-free, causally downward-closed finite event sets."""
     seen = {EMPTY_CONFIG}
@@ -148,7 +163,7 @@ def configurations(es: PrimeEventStructure) -> frozenset:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def _pomset_transition_table(es: PrimeEventStructure):
     """config -> tuple of (Pomset, target config), all strict extensions."""
     configs = configurations(es)
@@ -174,15 +189,10 @@ def pomset_transitions(s: ProcessState) -> frozenset:
 
 def step_transitions(s: ProcessState) -> frozenset:
     """Pomset transitions whose label is a step (empty order)."""
-    table = _pomset_transition_table(s.structure)
-    return frozenset(
-        (u, ProcessState(s.structure, d))
-        for u, d in table[s.config]
-        if u.is_step()
-    )
+    return frozenset(t for t in pomset_transitions(s) if t[0].is_step())
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def _action_transition_table(es: PrimeEventStructure):
     """config -> tuple of (label, added event, target config)."""
     configs = configurations(es)
@@ -233,8 +243,3 @@ def sort(s: ProcessState) -> frozenset:
         if s.config <= c:
             acc.update(u for u, _ in outs)
     return frozenset(acc)
-
-
-def is_sort_finite(s: ProcessState) -> bool:
-    """Always true for compiled finite structures; exposed for completeness."""
-    return len(sort(s)) < float("inf")

@@ -214,13 +214,13 @@ def finitary_via_trees(
     """
     from . import testgen
 
-    fin = fin_preorder(p, q, kind)
-    if not fin.related:
-        t = testgen.distinguishing_tree(p, q, kind)
-        return Verdict(False, witness=Witness("tree", t), level=fin.level)
     pmax = dominating_restriction(p, q, kind)
+    r = _ranks(p, q, kind, pmax)
+    if r.level is not None:
+        t = testgen.distinguishing_tree(p, q, kind)
+        return Verdict(False, witness=Witness("tree", t), level=r.level)
     if max_depth is None:
-        max_depth = stable_depth(p, q, kind, pmax) + 1
+        max_depth = stable_depth(p, q, kind, pmax, r) + 1
     checked = 0
     exhausted = False
     for t in testgen.enumerate_trees(pmax, max_depth, max_width):

@@ -8,7 +8,6 @@ empty-summand divergent tree is ``OMEGA``.  Prefix pomsets are nonempty.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .errors import StructuralError
@@ -20,10 +19,13 @@ class SyncTree:
 
     ``summands`` is normalized: sorted by (prefix, child) sort key;
     duplicate summands are kept (they are semantically idempotent but
-    syntactically preserved).
+    syntactically preserved).  ``size`` (node count), ``depth`` (longest
+    prefix path) and ``event_count`` (pomset events along all paths, the
+    compile size) are summed from the children's fields.
     """
 
-    __slots__ = ("_summands", "_divergent", "_key", "_hash")
+    __slots__ = ("_summands", "_divergent", "_key", "_hash",
+                 "size", "depth", "event_count")
 
     def __init__(self, summands: Iterable[Tuple[Pomset, "SyncTree"]] = (),
                  divergent: bool = False):
@@ -44,6 +46,13 @@ class SyncTree:
         )
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "size", 1 + sum(c.size for _, c in summands))
+        object.__setattr__(
+            self, "depth", max((1 + c.depth for _, c in summands), default=0)
+        )
+        object.__setattr__(
+            self, "event_count", sum(len(p) + c.event_count for p, c in summands)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("SyncTree is immutable")
@@ -97,22 +106,9 @@ def tree_divergent(t: SyncTree) -> bool:
     return t.divergent
 
 
-@lru_cache(maxsize=None)
 def tree_size(t: SyncTree) -> int:
     """Node count (each subtree node counts once, prefixes do not)."""
-    return 1 + sum(tree_size(c) for _, c in t.summands)
-
-
-@lru_cache(maxsize=None)
-def tree_depth(t: SyncTree) -> int:
-    """Longest prefix-path length from the root."""
-    return max((1 + tree_depth(c) for _, c in t.summands), default=0)
-
-
-@lru_cache(maxsize=None)
-def tree_event_count(t: SyncTree) -> int:
-    """Total number of pomset events along all paths (compile size)."""
-    return sum(len(p) + tree_event_count(c) for p, c in t.summands)
+    return t.size
 
 
 def subtrees(t: SyncTree) -> frozenset:

@@ -13,12 +13,7 @@ from .equiv import RelationKind
 from .errors import InternalInconsistencyError
 from .estructure import ProcessState
 from .pomset import Pomset, singleton, step_of, chain_of
-from .synctree import NIL, OMEGA, SyncTree, tree_depth
-
-
-def compiled_tree_state(t: SyncTree) -> ProcessState:
-    """Root state of the (memoized) compiled tree."""
-    return es_mod.compiled(t)
+from .synctree import NIL, OMEGA, SyncTree
 
 
 def tree_as_process(t: SyncTree, kind: RelationKind):
@@ -31,7 +26,7 @@ def tree_as_process(t: SyncTree, kind: RelationKind):
     carries).  The posetal kinds need configurations and are evaluated on
     the compiled structure.
     """
-    return compiled_tree_state(t) if kind.posetal else t
+    return es_mod.compiled(t) if kind.posetal else t
 
 
 def enumerate_trees(
@@ -55,7 +50,7 @@ def enumerate_trees(
             for combo in combinations_with_replacement(cands, k):
                 for div in (False, True):
                     t = SyncTree(combo, div)
-                    if tree_depth(t) == d:
+                    if t.depth == d:
                         fresh.append(t)
                         yield t
         pool = pool + fresh
@@ -174,6 +169,6 @@ def random_tree(
 def random_state(seed, size_budget: int, alphabet=("a", "b"),
                  divergence_probability: float = 0.15) -> ProcessState:
     """Compiled root state of a random tree."""
-    return compiled_tree_state(
+    return es_mod.compiled(
         random_tree(seed, size_budget, alphabet, divergence_probability)
     )

@@ -12,7 +12,6 @@ import random
 from functools import lru_cache
 
 from pomcheck.pomset import LabelledPoset
-from pomcheck.synctree import tree_event_count
 from pomcheck.testgen import random_tree
 
 
@@ -128,6 +127,6 @@ def tree_corpus(seed, count: int, budget: int, max_events: int,
     out = []
     while len(out) < count:
         t = random_tree(rng.random(), budget, alphabet)
-        if tree_event_count(t) <= max_events:
+        if t.event_count <= max_events:
             out.append(t)
     return out

@@ -23,7 +23,7 @@ from pomcheck.equiv import RelationKind, bisim
 from pomcheck.estructure import compiled
 from pomcheck.grammar import parse_term
 from pomcheck.pomset import canonicalize, singleton, step_of
-from pomcheck.synctree import SyncTree, prefix, tree_event_count
+from pomcheck.synctree import SyncTree, prefix
 from pomcheck.testgen import (
     distinguishing_tree,
     random_pomset,
@@ -275,7 +275,7 @@ def test_criterion_8_dominating_restriction_audit():
         while True:
             t1 = random_tree(rng.random(), 4)
             t2 = random_tree(rng.random(), 4)
-            if tree_event_count(t1) <= 4 and tree_event_count(t2) <= 4:
+            if t1.event_count <= 4 and t2.event_count <= 4:
                 p, q = compiled(t1), compiled(t2)
                 pmax = pb.dominating_restriction(p, q, RelationKind.POMSET)
                 if len(pmax) <= 8:

@@ -233,6 +233,18 @@ class TestInputErrors:
                          procfile)
         assert code == EXIT_INPUT
 
+    def test_deeply_nested_input(self, tmp_path, capsys):
+        text = "a:0"
+        for _ in range(1199):
+            text = f"a:({text})"
+        deep = tmp_path / "deep.pom"
+        deep.write_text(f"proc P = {text}\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", "--left", "P", "--right", "P",
+                           "--rel", "step", str(deep))
+        assert code == EXIT_INPUT
+        assert "Traceback" not in err
+        assert err == "error: input nested too deeply\n"
+
     def test_syntax_error_in_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pom"
         bad.write_text("proc P = a:", encoding="utf-8")

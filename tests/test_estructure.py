@@ -13,7 +13,6 @@ from pomcheck.estructure import (
     derivatives,
     divergent,
     initials,
-    is_sort_finite,
     pomset_transitions,
     sort,
     step_transitions,
@@ -145,5 +144,4 @@ class TestQueries:
 
     def test_sort_finiteness(self):
         root = compiled(prefix(AB))
-        assert is_sort_finite(root)
         assert len(sort(root)) == 3

@@ -10,9 +10,7 @@ from pomcheck.synctree import (
     SyncTree,
     prefix,
     subtrees,
-    tree_depth,
     tree_divergent,
-    tree_event_count,
     tree_size,
     tree_transitions,
 )
@@ -58,16 +56,26 @@ def test_divergence_flag():
 
 
 def test_sizes_and_depths():
-    assert tree_size(NIL) == 1 and tree_depth(NIL) == 0
+    assert tree_size(NIL) == 1 and NIL.depth == 0
     two = SyncTree([(A, NIL), (B, NIL)])
-    assert tree_size(two) == 3 and tree_depth(two) == 1
+    assert tree_size(two) == 3 and two.depth == 1
     nested = prefix(A, prefix(B))
-    assert tree_depth(nested) == 2
+    assert nested.size == 3 and nested.depth == 2
 
 
 def test_event_count_counts_prefix_events():
-    assert tree_event_count(prefix(AB, prefix(chain_of("ab")))) == 4
-    assert tree_event_count(OMEGA) == 0
+    assert prefix(AB, prefix(chain_of("ab"))).event_count == 4
+    assert OMEGA.event_count == 0
+
+
+def test_measures_of_a_deep_chain():
+    # fields built bottom-up: no recursion limit on deep trees
+    t = NIL
+    for _ in range(3000):
+        t = prefix(A, t)
+    assert t.depth == 3000
+    assert tree_size(t) == t.size == 3001
+    assert t.event_count == 3000
 
 
 def test_subtrees():

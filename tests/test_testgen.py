@@ -9,7 +9,7 @@ from pomcheck.equiv import RelationKind
 from pomcheck.estructure import compiled
 from pomcheck.grammar import format_tree
 from pomcheck.pomset import singleton, step_of
-from pomcheck.synctree import NIL, OMEGA, SyncTree, prefix, tree_depth, tree_size
+from pomcheck.synctree import NIL, OMEGA, SyncTree, prefix, tree_size
 from pomcheck.testgen import (
     characteristic_tree,
     distinguishing_tree,
@@ -47,7 +47,7 @@ class TestEnumerateTrees:
         trees = list(enumerate_trees({A, B}, 2, 2))
         assert len(trees) == len(set(trees))
         for t in trees:
-            assert tree_depth(t) <= 2
+            assert t.depth <= 2
             for sub in {t} | {c for _, c in t.summands}:
                 assert len(sub.summands) <= 2
 
