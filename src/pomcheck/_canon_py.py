@@ -64,50 +64,55 @@ def canonical_order(labels, above):
 
     # Events are placed colour class by colour class (classes in colour
     # order); within a class, ties are broken by minimising the relation
-    # bits against already-placed events, position by position.
+    # bits against already-placed events, position by position.  The
+    # search is depth first on an explicit stack, children pushed in
+    # reverse so they are visited in order.
     by_color = sorted(range(n), key=lambda i: (colors[i], i))
     class_of_pos = [colors[i] for i in by_color]
-
-    best = [None]  # best full row-encoding list found so far
-
-    def row_bits(e, placed):
-        bits = []
-        for p in placed:
-            bits.append(2 if above[p] >> e & 1 else (1 if above[e] >> p & 1 else 0))
-        return bits
-
-    def twins(u, v):
-        if colors[u] != colors[v]:
-            return False
-        if above[u] >> v & 1 or above[v] >> u & 1:
-            return False
-        mask = ~((1 << u) | (1 << v))
-        return (above[u] & mask) == (above[v] & mask) and (
-            below[u] & mask
-        ) == (below[v] & mask)
-
-    def search(placed, remaining, enc):
-        if best[0] is not None and enc > best[0][: len(enc)]:
-            return
+    best = None  # best full row-encoding list found so far
+    best_perm = None
+    stack = [([], by_color, [])]
+    while stack:
+        placed, remaining, enc = stack.pop()
+        if best is not None and enc > best[: len(enc)]:
+            continue
         k = len(placed)
         if k == n:
-            if best[0] is None or enc < best[0]:
-                best[0] = list(enc)
-                best_perm[0] = list(placed)
-            return
+            if best is None or enc < best:
+                best = enc
+                best_perm = placed
+            continue
         cls = class_of_pos[k]
         cands = [e for e in remaining if colors[e] == cls]
-        rows = {e: row_bits(e, placed) for e in cands}
+        rows = {e: _row_bits(above, e, placed) for e in cands}
         lo = min(rows.values())
-        tied = [e for e in cands if rows[e] == lo]
         # interchangeable twins: exploring one representative suffices
         reps = []
-        for e in tied:
-            if not any(twins(e, r) for r in reps):
+        for e in cands:
+            if rows[e] == lo and not any(
+                _twins(above, below, colors, e, r) for r in reps
+            ):
                 reps.append(e)
-        for e in reps:
-            search(placed + [e], [x for x in remaining if x != e], enc + rows[e])
+        for e in reversed(reps):
+            stack.append(
+                (placed + [e], [x for x in remaining if x != e], enc + rows[e])
+            )
+    return tuple(best_perm)
 
-    best_perm = [None]
-    search([], by_color, [])
-    return tuple(best_perm[0])
+
+def _row_bits(above, e, placed):
+    """Relation of ``e`` to each placed event: 2 above it, 1 below, 0 neither."""
+    return [2 if above[p] >> e & 1 else (1 if above[e] >> p & 1 else 0)
+            for p in placed]
+
+
+def _twins(above, below, colors, u, v):
+    """Whether swapping ``u`` and ``v`` is an automorphism."""
+    if colors[u] != colors[v]:
+        return False
+    if above[u] >> v & 1 or above[v] >> u & 1:
+        return False
+    mask = ~((1 << u) | (1 << v))
+    return (above[u] & mask) == (above[v] & mask) and (
+        below[u] & mask
+    ) == (below[v] & mask)

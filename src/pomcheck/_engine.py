@@ -17,9 +17,10 @@ convergence only from convergent left states, and under a restriction
 set only when every initial pomset of the left state is in the set.
 
 For the pomset/step kinds each side's states are interned as ints once
-per query, straight from the transition table (or the subtrees under the
-tree-native semantics), with successors grouped by pomset, and only the
-matched-label pair product reachable from the root pair is explored.
+per query, straight from the kind's transition table (or the subtrees
+under the tree-native semantics), with successors grouped by pomset,
+and only the matched-label pair product reachable from the root pair is
+explored.
 The hp/hhp kinds run the same rounds over the posetal triple tables,
 which live on the left structure, keyed by the right one.
 """
@@ -89,15 +90,18 @@ def pair_space(p, q) -> frozenset:
     return frozenset((x, y) for x in state_space(p) for y in ys)
 
 
-def transition_rows(state):
+def transition_rows(state, step_only: bool):
     """``(state, its (Pomset, target) transitions)`` over ``state_space(state)``.
 
-    Read straight from the transition table (or the subtrees), without
-    building a state object per transition.  Under the event-structure
+    Read straight from the kind's own table (or the subtrees), without
+    building a state object per transition: the step kind reads the step
+    table and never builds the pomset table.  Under the event-structure
     semantics states are configurations.
     """
     if isinstance(state, SyncTree):
-        return ((t, st_mod.tree_transitions(t)) for t in st_mod.subtrees(state))
+        return ((t, successors(t, step_only)) for t in st_mod.subtrees(state))
+    if step_only:
+        return es_mod._step_transition_table(state.structure).items()
     return es_mod._pomset_transition_table(state.structure).items()
 
 
@@ -352,14 +356,13 @@ def _interned(state, step_only, pids):
     divergence, and the id of ``state``.  ``pids`` interns pomsets and is
     shared by both sides of a product.
     """
-    rows = list(transition_rows(state))
+    rows = list(transition_rows(state, step_only))
     index = {s: i for i, (s, _) in enumerate(rows)}
     groups = []
     for _, trans in rows:
         g = {}
         for u, s2 in trans:
-            if not step_only or u.is_step():
-                g.setdefault(pids.setdefault(u, len(pids)), []).append(index[s2])
+            g.setdefault(pids.setdefault(u, len(pids)), []).append(index[s2])
         groups.append(g)
     if isinstance(state, SyncTree):
         return groups, [t.divergent for t, _ in rows], index[state]

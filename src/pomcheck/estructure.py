@@ -4,6 +4,11 @@ This is the concrete semantic model: configurations, their history
 posets, pomset/step/action transitions and the divergence predicate are
 all evaluated here.  Structures are immutable after compilation; derived
 tables are memoized write-once on the structure (:func:`derived_table`).
+
+Each kind builds only the transition table it reads.  The step table is
+built straight from the conflict-free sets of enabled events; the pomset
+table lists every strict extension and canonicalizes each residual shape
+once per build; the action table adds one enabled event at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Dict, FrozenSet, Tuple
 
-from .pomset import LabelledPoset, Pomset, canonicalize
+from .pomset import LabelledPoset, Pomset, shape_pomset, step_of
 from .synctree import SyncTree
 
 Config = FrozenSet[int]
@@ -94,46 +99,54 @@ def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
     a prefix causally precedes its entire subtree; distinct summands of a
     node are in (hereditary) conflict cone-against-cone.  A configuration
     is divergent exactly when it is the full event set of a root path
-    ending in a node whose divergence flag is set.
+    ending in a node whose divergence flag is set.  Events are numbered
+    depth first, summand by summand; the walk keeps an explicit stack, so
+    tree depth is not bounded by the recursion limit.
     """
     labels: Dict[int, str] = {}
     causes: Dict[int, set] = {}
     conflicts: Dict[int, set] = {}
     divergent = set()
-    counter = [0]
-
-    def build(node: SyncTree, ancestors: frozenset) -> frozenset:
-        if node.divergent:
-            divergent.add(ancestors)
-        cones = []
-        for pom, child in node.summands:
+    counter = 0
+    # frame: [node, its ancestor events, finished summand cones,
+    #         prefix events of the summand being built (or None)]
+    stack = [[t, EMPTY_CONFIG, [], None]]
+    if t.divergent:
+        divergent.add(EMPTY_CONFIG)
+    done = EMPTY_CONFIG  # the cone of the frame popped last
+    while stack:
+        frame = stack[-1]
+        node, ancestors, cones, pending = frame
+        if pending is not None:
+            cones.append(pending | done)
+            frame[3] = None
+        if len(cones) < len(node.summands):
+            pom, child = node.summands[len(cones)]
             lp = pom.canon
-            names = sorted(lp.events)
             fresh = {}
-            for name in names:
-                e = counter[0]
-                counter[0] += 1
-                fresh[name] = e
-                labels[e] = lp.label(name)
-                causes[e] = set(ancestors)
-                conflicts[e] = set()
+            for name in sorted(lp.events):
+                fresh[name] = counter
+                labels[counter] = lp.label(name)
+                causes[counter] = set(ancestors)
+                conflicts[counter] = set()
+                counter += 1
             for a, b in lp.order:
                 causes[fresh[b]].add(fresh[a])
-            prefix_events = frozenset(fresh.values())
-            sub = build(child, ancestors | prefix_events)
-            cones.append(prefix_events | sub)
+            prefix_events = frame[3] = frozenset(fresh.values())
+            inner = ancestors | prefix_events
+            if child.divergent:
+                divergent.add(inner)
+            stack.append([child, inner, [], None])
+            continue
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 for e in cones[i]:
                     for f in cones[j]:
                         conflicts[e].add(f)
                         conflicts[f].add(e)
-        return frozenset().union(*cones) if cones else frozenset()
-
-    build(t, frozenset())
-    es = PrimeEventStructure(
-        range(counter[0]), labels, causes, conflicts, divergent
-    )
+        done = frozenset().union(*cones)
+        stack.pop()
+    es = PrimeEventStructure(range(counter), labels, causes, conflicts, divergent)
     return es, ProcessState(es, EMPTY_CONFIG)
 
 
@@ -165,31 +178,82 @@ def configurations(es: PrimeEventStructure) -> frozenset:
 
 @derived_table
 def _pomset_transition_table(es: PrimeEventStructure):
-    """config -> tuple of (Pomset, target config), all strict extensions."""
+    """config -> tuple of (Pomset, target config), all strict extensions.
+
+    Each residual ``d - c`` is coded by its shape: its labels and the
+    masks of the events below each, indexed in event order and read from
+    ``es.causes``, which is already transitively closed.  A shape is
+    canonicalized the first time this table meets it.
+    """
     configs = configurations(es)
+    shapes = {}
     table = {}
     for c in configs:
         out = []
         for d in configs:
             if c < d:
-                residual = d - c
-                u = canonicalize(es.history(residual))
+                residual = sorted(d - c)
+                bit = {e: 1 << i for i, e in enumerate(residual)}
+                below = []
+                for e in residual:
+                    m = 0
+                    for x in es.causes[e].intersection(bit):
+                        m |= bit[x]
+                    below.append(m)
+                shape = (tuple(es.labels[e] for e in residual), tuple(below))
+                u = shapes.get(shape)
+                if u is None:
+                    u = shapes[shape] = shape_pomset(*shape)
                 out.append((u, d))
         table[c] = tuple(out)
     return table
 
 
+@derived_table
+def _step_transition_table(es: PrimeEventStructure):
+    """config -> tuple of (step Pomset, target config), all step extensions.
+
+    Events enabled at ``c`` are pairwise causally unrelated, so each
+    nonempty conflict-free set of them is the residual of exactly one
+    extension of ``c`` with an empty residual order, and every such
+    extension arises this way.  No pomset table is built.
+    """
+    steps = {}
+    table = {}
+    for c in configurations(es):
+        subsets = [()]
+        for e in es.events:
+            if e in c or not es.causes[e] <= c or es.conflicts[e] & c:
+                continue
+            subsets += [s + (e,) for s in subsets
+                        if es.conflicts[e].isdisjoint(s)]
+        out = []
+        for s in subsets[1:]:
+            labels = tuple(sorted(es.labels[e] for e in s))
+            u = steps.get(labels)
+            if u is None:
+                u = steps[labels] = step_of(labels)
+            out.append((u, c.union(s)))
+        table[c] = tuple(out)
+    return table
+
+
+def _states(s: ProcessState, rows) -> frozenset:
+    return frozenset((u, ProcessState(s.structure, d)) for u, d in rows)
+
+
 def pomset_transitions(s: ProcessState) -> frozenset:
     """All pomset-labelled transitions from ``s`` (configuration extensions)."""
-    table = _pomset_transition_table(s.structure)
-    return frozenset(
-        (u, ProcessState(s.structure, d)) for u, d in table[s.config]
-    )
+    return _states(s, _pomset_transition_table(s.structure)[s.config])
 
 
 def step_transitions(s: ProcessState) -> frozenset:
-    """Pomset transitions whose label is a step (empty order)."""
-    return frozenset(t for t in pomset_transitions(s) if t[0].is_step())
+    """Pomset transitions whose label is a step (empty order).
+
+    Read from the step table, built straight from the conflict-free sets
+    of enabled events; the pomset table is not built.
+    """
+    return _states(s, _step_transition_table(s.structure)[s.config])
 
 
 @derived_table

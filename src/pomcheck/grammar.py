@@ -24,7 +24,7 @@ import re
 from typing import Dict, List, Tuple
 
 from .errors import ParseError, StructuralError
-from .pomset import LabelledPoset, Pomset, canonicalize
+from .pomset import LabelledPoset, Pomset, canonicalize, step_of
 from .synctree import SyncTree
 
 _TOKEN_RE = re.compile(
@@ -135,11 +135,10 @@ def _parse_pomlit(toks: _Tokens) -> Pomset:
                 break
             if v != ",":
                 raise ParseError("expected ',' or '}'", ln, cl)
-        names = [f"e{i}" for i in range(len(labs))]
-        return canonicalize(LabelledPoset(names, (), dict(zip(names, labs))))
+        return step_of(labs)
     if kind == "name" and val not in _KEYWORDS and val != "0":
         toks.next()
-        return canonicalize(LabelledPoset(("e0",), (), {"e0": val}))
+        return step_of((val,))
     toks.error("expected a pomset literal")
 
 

@@ -171,17 +171,37 @@ def canonicalize(lp: LabelledPoset) -> Pomset:
     """Canonical representative of ``lp``'s isomorphism class."""
     events = sorted(lp.events, key=repr)
     idx = {e: i for i, e in enumerate(events)}
-    label_code = {s: c for c, s in enumerate(sorted({lp.label(e) for e in events}))}
-    labels = tuple(label_code[lp.label(e)] for e in events)
-    above = [0] * len(events)
+    below = [0] * len(events)
     for a, b in lp.order:
-        above[idx[a]] |= 1 << idx[b]
-    perm = canonical_order(labels, tuple(above))
-    rename = {events[orig]: f"e{pos}" for pos, orig in enumerate(perm)}
+        below[idx[b]] |= 1 << idx[a]
+    return shape_pomset([lp.label(e) for e in events], below)
+
+
+def shape_pomset(labels, below) -> Pomset:
+    """The pomset of events ``0..n-1`` given by their index-coded shape.
+
+    Event ``i`` carries ``labels[i]``; ``below[i]`` is the bitmask of
+    the events strictly below ``i``, transitively closed.  An order-free
+    shape is a step and needs no canonical-labelling search.
+    """
+    if not any(below):
+        return step_of(labels)
+    n = len(labels)
+    above = [0] * n
+    for i, m in enumerate(below):
+        for j in range(n):
+            if m >> j & 1:
+                above[j] |= 1 << i
+    label_code = {s: c for c, s in enumerate(sorted(set(labels)))}
+    perm = canonical_order(tuple(label_code[s] for s in labels), tuple(above))
+    names = [None] * n
+    for pos, orig in enumerate(perm):
+        names[orig] = f"e{pos}"
     canon = LabelledPoset(
-        rename.values(),
-        ((rename[a], rename[b]) for a, b in lp.order),
-        {rename[e]: lp.label(e) for e in events},
+        names,
+        ((names[j], names[i]) for i, m in enumerate(below) for j in range(n)
+         if m >> j & 1),
+        dict(zip(names, labels)),
     )
     return Pomset(canon)
 
@@ -241,20 +261,24 @@ def restrict(lp: LabelledPoset, subset: Iterable) -> LabelledPoset:
     )
 
 
-EMPTY_POMSET = canonicalize(EMPTY_POSET)
-
-
 @lru_cache(maxsize=None)
 def singleton(label: Label) -> Pomset:
     """The one-event pomset carrying ``label``."""
-    return canonicalize(LabelledPoset(("e0",), (), {"e0": label}))
+    return step_of((label,))
 
 
 def step_of(labels: Iterable[Label]) -> Pomset:
-    """The step (empty order) pomset with the given label multiset."""
-    labels = list(labels)
+    """The step (empty order) pomset with the given label multiset.
+
+    A step's canonical form lists its labels in sorted order, so no
+    canonical-labelling search is needed.
+    """
+    labels = tuple(sorted(labels))
     names = [f"e{i}" for i in range(len(labels))]
-    return canonicalize(LabelledPoset(names, (), dict(zip(names, labels))))
+    return Pomset(LabelledPoset(names, (), dict(zip(names, labels))), (labels, ()))
+
+
+EMPTY_POMSET = step_of(())
 
 
 def chain_of(labels: Iterable[Label]) -> Pomset:

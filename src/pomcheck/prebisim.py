@@ -161,12 +161,10 @@ def first_failing_level(p, q, kind: RelationKind, restriction=None) -> Optional[
 
 def _sort_pomsets(state, kind: RelationKind) -> frozenset:
     """All transition labels of ``state``'s system."""
-    step_only = kind is RelationKind.STEP
     return frozenset(
         u
-        for _, trans in transition_rows(state)
+        for _, trans in transition_rows(state, kind is RelationKind.STEP)
         for u, _ in trans
-        if not step_only or u.is_step()
     )
 
 

@@ -11,7 +11,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from pomcheck.pomset import LabelledPoset
+from pomcheck.pomset import LabelledPoset, singleton
+from pomcheck.synctree import NIL, prefix
 from pomcheck.testgen import random_tree
 
 
@@ -107,6 +108,34 @@ def shuffled_copy(rng: random.Random, lp: LabelledPoset) -> LabelledPoset:
     )
 
 
+def random_coded_input(rng, n, n_labels=2):
+    """(labels, above) pair for a random transitively closed order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    above = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.35:
+                above[perm[i]] |= 1 << perm[j]
+    # transitive closure on the bitmasks
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            m, extra = above[i], 0
+            j = 0
+            while m:
+                if m & 1:
+                    extra |= above[j]
+                m >>= 1
+                j += 1
+            if extra & ~above[i]:
+                above[i] |= extra
+                changed = True
+    labels = tuple(rng.randrange(n_labels) for _ in range(n))
+    return labels, tuple(above)
+
+
 def brute_force_configurations(es) -> frozenset:
     """Downward-closed conflict-free subsets, by filtering all subsets."""
     out = set()
@@ -130,3 +159,11 @@ def tree_corpus(seed, count: int, budget: int, max_events: int,
         if t.event_count <= max_events:
             out.append(t)
     return out
+
+
+def chain_tree(depth: int, label: str = "a"):
+    """The chain ``a:(a:(...0))`` of ``depth`` actions, built bottom-up."""
+    t = NIL
+    for _ in range(depth):
+        t = prefix(singleton(label), t)
+    return t

@@ -1,0 +1,173 @@
+"""Replaced algorithms of the kernel, compile and transition-table layers.
+
+Each is kept exactly as it was before its replacement, as a differential
+oracle for ``tests/test_tables.py``:
+
+- ``canonical_order``: the canonical-labelling search as recursive
+  nested closures (the library's runs on an explicit stack);
+- ``canonicalize``: every poset through that search, steps included
+  (the library gives an order-free poset its sorted labels directly);
+- ``compile_tree``: the recursive compile (the library's is iterative);
+  it returns the structure only;
+- ``pomset_table``: one history poset and one canonicalization per
+  extension ``c < d`` (the library builds the step table from enabled
+  events and canonicalizes each residual shape once).
+"""
+
+from pomcheck._canon_py import _refine
+from pomcheck.estructure import PrimeEventStructure, configurations
+from pomcheck.pomset import LabelledPoset, Pomset
+
+
+def canonical_order(labels, above):
+    """Canonical event ordering for a transitively closed strict order.
+
+    ``labels``: sequence of ints; ``above``: sequence of int bitmasks.
+    Returns a tuple of event indices.
+    """
+    n = len(labels)
+    if n == 0:
+        return ()
+    below = [0] * n
+    for i in range(n):
+        m = above[i]
+        j = 0
+        while m:
+            if m & 1:
+                below[j] |= 1 << i
+            m >>= 1
+            j += 1
+    colors = _refine(labels, above, below, n)
+
+    # Events are placed colour class by colour class (classes in colour
+    # order); within a class, ties are broken by minimising the relation
+    # bits against already-placed events, position by position.
+    by_color = sorted(range(n), key=lambda i: (colors[i], i))
+    class_of_pos = [colors[i] for i in by_color]
+
+    best = [None]  # best full row-encoding list found so far
+
+    def row_bits(e, placed):
+        bits = []
+        for p in placed:
+            bits.append(2 if above[p] >> e & 1 else (1 if above[e] >> p & 1 else 0))
+        return bits
+
+    def twins(u, v):
+        if colors[u] != colors[v]:
+            return False
+        if above[u] >> v & 1 or above[v] >> u & 1:
+            return False
+        mask = ~((1 << u) | (1 << v))
+        return (above[u] & mask) == (above[v] & mask) and (
+            below[u] & mask
+        ) == (below[v] & mask)
+
+    def search(placed, remaining, enc):
+        if best[0] is not None and enc > best[0][: len(enc)]:
+            return
+        k = len(placed)
+        if k == n:
+            if best[0] is None or enc < best[0]:
+                best[0] = list(enc)
+                best_perm[0] = list(placed)
+            return
+        cls = class_of_pos[k]
+        cands = [e for e in remaining if colors[e] == cls]
+        rows = {e: row_bits(e, placed) for e in cands}
+        lo = min(rows.values())
+        tied = [e for e in cands if rows[e] == lo]
+        # interchangeable twins: exploring one representative suffices
+        reps = []
+        for e in tied:
+            if not any(twins(e, r) for r in reps):
+                reps.append(e)
+        for e in reps:
+            search(placed + [e], [x for x in remaining if x != e], enc + rows[e])
+
+    best_perm = [None]
+    search([], by_color, [])
+    return tuple(best_perm[0])
+
+
+def canonicalize(lp):
+    """Canonical representative of ``lp``'s class, always through the search."""
+    events = sorted(lp.events, key=repr)
+    idx = {e: i for i, e in enumerate(events)}
+    label_code = {s: c for c, s in enumerate(sorted({lp.label(e) for e in events}))}
+    labels = tuple(label_code[lp.label(e)] for e in events)
+    above = [0] * len(events)
+    for a, b in lp.order:
+        above[idx[a]] |= 1 << idx[b]
+    perm = canonical_order(labels, tuple(above))
+    rename = {events[orig]: f"e{pos}" for pos, orig in enumerate(perm)}
+    canon = LabelledPoset(
+        rename.values(),
+        ((rename[a], rename[b]) for a, b in lp.order),
+        {rename[e]: lp.label(e) for e in events},
+    )
+    return Pomset(canon)
+
+
+def pomset_table(es):
+    """config -> tuple of (Pomset, target config), all strict extensions."""
+    configs = configurations(es)
+    table = {}
+    for c in configs:
+        out = []
+        for d in configs:
+            if c < d:
+                residual = d - c
+                u = canonicalize(es.history(residual))
+                out.append((u, d))
+        table[c] = tuple(out)
+    return table
+
+
+def compile_tree(t):
+    """Compile a synchronization tree into an event structure.
+
+    Each prefix pomset along each path is instantiated with fresh events;
+    a prefix causally precedes its entire subtree; distinct summands of a
+    node are in (hereditary) conflict cone-against-cone.  A configuration
+    is divergent exactly when it is the full event set of a root path
+    ending in a node whose divergence flag is set.
+    """
+    labels = {}
+    causes = {}
+    conflicts = {}
+    divergent = set()
+    counter = [0]
+
+    def build(node, ancestors):
+        if node.divergent:
+            divergent.add(ancestors)
+        cones = []
+        for pom, child in node.summands:
+            lp = pom.canon
+            names = sorted(lp.events)
+            fresh = {}
+            for name in names:
+                e = counter[0]
+                counter[0] += 1
+                fresh[name] = e
+                labels[e] = lp.label(name)
+                causes[e] = set(ancestors)
+                conflicts[e] = set()
+            for a, b in lp.order:
+                causes[fresh[b]].add(fresh[a])
+            prefix_events = frozenset(fresh.values())
+            sub = build(child, ancestors | prefix_events)
+            cones.append(prefix_events | sub)
+        for i in range(len(cones)):
+            for j in range(i + 1, len(cones)):
+                for e in cones[i]:
+                    for f in cones[j]:
+                        conflicts[e].add(f)
+                        conflicts[f].add(e)
+        return frozenset().union(*cones) if cones else frozenset()
+
+    build(t, frozenset())
+    return PrimeEventStructure(
+        range(counter[0]), labels, causes, conflicts, divergent
+    )

@@ -7,40 +7,13 @@ import sys
 
 import pytest
 
+from conftest import random_coded_input
 from pomcheck import _kernel
 from pomcheck import _canon_py
 
 cython_kernel = pytest.importorskip(
     "pomcheck._canon_cy", reason="compiled kernel not built"
 )
-
-
-def random_coded_input(rng, n, n_labels=2):
-    """(labels, above) pair for a random transitively closed order."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    above = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.35:
-                above[perm[i]] |= 1 << perm[j]
-    # transitive closure on the bitmasks
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m, extra = above[i], 0
-            j = 0
-            while m:
-                if m & 1:
-                    extra |= above[j]
-                m >>= 1
-                j += 1
-            if extra & ~above[i]:
-                above[i] |= extra
-                changed = True
-    labels = tuple(rng.randrange(n_labels) for _ in range(n))
-    return labels, tuple(above)
 
 
 def test_backend_markers():

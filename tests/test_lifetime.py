@@ -5,11 +5,20 @@ import importlib
 import pkgutil
 
 import pomcheck
+from conftest import chain_tree
+from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
-from pomcheck.equiv import RelationKind, bisim
+from pomcheck.equiv import RelationKind, Witness, bisim
 from pomcheck.estructure import PrimeEventStructure, compiled
-from pomcheck.grammar import parse_term
+from pomcheck.grammar import parse, parse_term
+from pomcheck.pomset import singleton
 from pomcheck.testgen import distinguishing_tree
+
+F1 = """
+proc P = {a,b,c,d}:0
+proc Q = {a,b,c,d}:0 + a:({b,c,d}:0)
+proc R = {a,b,c,d}:W + W
+"""
 
 
 def _structures():
@@ -45,3 +54,43 @@ def test_singleton_is_the_only_process_wide_cache():
                 if hasattr(member, "cache_info"):
                     cached.add(f"{member.__module__}.{member.__qualname__}")
     assert cached == {"pomcheck.pomset.singleton"}
+
+
+def test_queries_leave_no_cyclic_garbage():
+    # every object a query makes is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in RelationKind:
+            table = parse(F1)
+            p = compiled(table["Q"])
+            q = compiled(table["P"])
+            bisim(p, q, kind, want_witness=True)
+            pb.prebisim(p, q, kind, want_witness=True)
+            pb.fin_preorder(p, q, kind, want_witness=True)
+        del table, p, q
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+
+
+def test_step_queries_build_no_pomset_table():
+    pomset_table = es_mod._pomset_transition_table.__wrapped__
+    table = parse(F1)
+    for left, right in [(table["Q"], table["P"]), (chain_tree(12), chain_tree(11))]:
+        p, q = compiled(left), compiled(right)
+        bisim(p, q, RelationKind.STEP, want_witness=True)
+        pb.prebisim(p, q, RelationKind.STEP, want_witness=True)
+        pb.fin_preorder(p, q, RelationKind.STEP, want_witness=True)
+        for es in (p.structure, q.structure):
+            assert es.derived
+            assert not any(key[0] is pomset_table for key in es.derived)
+
+
+def test_deep_chain_step_queries():
+    p, q = compiled(chain_tree(200)), compiled(chain_tree(199))
+    assert bisim(p, compiled(chain_tree(200)), RelationKind.STEP).related
+    v = pb.fin_preorder(p, q, RelationKind.STEP, want_witness=True)
+    assert not v.related
+    assert v.witness == Witness("pomset", singleton("a"))

@@ -1,0 +1,98 @@
+"""The step and pomset tables, step canonical forms, the canonical-labelling
+search and the compile, each against the algorithm it replaced
+(``tests/table_oracle.py``)."""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+import table_oracle
+from conftest import chain_tree, random_coded_input
+from pomcheck import _canon_py
+from pomcheck import estructure as es_mod
+from pomcheck.grammar import parse_term
+from pomcheck.pomset import LabelledPoset, canonicalize, step_of
+from pomcheck.testgen import random_tree
+
+
+def _f1(labels):
+    """The three F1 processes over a label multiset: {m}:0, Q and {m}:W + W."""
+    m = ",".join(labels)
+    rest = ",".join(labels[1:])
+    return [f"{{{m}}}:0", f"{{{m}}}:0 + {labels[0]}:({{{rest}}}:0)",
+            f"{{{m}}}:W + W"]
+
+
+CORPUS = {
+    "random": [random_tree(seed, size, ("a", "b", "c"), max_prefix_events=k)
+               for size in range(2, 10) for seed in range(50) for k in (2, 3)],
+    "f1-abcd": [parse_term(text) for text in _f1("abcd")],
+    "f1-aabbc": [parse_term(text) for text in _f1("aabbc")],
+    "chain12": [chain_tree(12)],
+    "conflicting-steps": [parse_term("{a,b}:0 + {a,c}:0")],
+}
+
+
+def _rows(rows):
+    """A table row as a multiset of (pomset key, canonical poset, target)."""
+    return Counter((u._key, u.canon, d) for u, d in rows)
+
+
+@pytest.mark.parametrize("family", CORPUS)
+def test_tables_match_per_extension_oracle(family):
+    for t in CORPUS[family]:
+        es = es_mod.compile_tree(t)[0]
+        oracle = table_oracle.pomset_table(es)
+        steps = es_mod._step_transition_table(es)
+        pomsets = es_mod._pomset_transition_table(es)
+        assert steps.keys() == pomsets.keys() == oracle.keys()
+        for c, rows in oracle.items():
+            assert _rows(steps[c]) == _rows((u, d) for u, d in rows
+                                            if u.is_step())
+            assert _rows(pomsets[c]) == _rows(rows)
+
+
+def test_step_canonical_form_matches_kernel():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for multiset in itertools.combinations_with_replacement("abc", n):
+            labels = list(multiset)
+            rng.shuffle(labels)
+            names = [f"x{i}" for i in range(n)]
+            lp = LabelledPoset(names, (), dict(zip(names, labels)))
+            kernel = table_oracle.canonicalize(lp)
+            for got in (canonicalize(lp), step_of(labels)):
+                assert got._key == kernel._key
+                assert got.canon == kernel.canon
+
+
+def test_canonical_order_matches_nested_search():
+    rng = random.Random(31)
+    for _ in range(2000):
+        labels, above = random_coded_input(rng, rng.randint(0, 9),
+                                           rng.randint(1, 3))
+        assert _canon_py.canonical_order(labels, above) == \
+            table_oracle.canonical_order(labels, above)
+    n = 70
+    labels = tuple(i % 2 for i in range(n))
+    above = tuple(sum(1 << j for j in range(i + 1, n)) for i in range(n))
+    assert _canon_py.canonical_order(labels, above) == \
+        table_oracle.canonical_order(labels, above)
+
+
+@pytest.mark.parametrize("family", CORPUS)
+def test_compile_matches_recursive_compile(family):
+    for t in CORPUS[family]:
+        got = es_mod.compile_tree(t)[0]
+        want = table_oracle.compile_tree(t)
+        for field in ("events", "labels", "causes", "conflicts",
+                      "divergent_configs"):
+            assert getattr(got, field) == getattr(want, field)
+
+
+def test_deep_chain_compiles():
+    es = es_mod.compile_tree(chain_tree(1200))[0]
+    assert len(es.events) == 1200
+    assert es.causes[1199] == frozenset(range(1199))
