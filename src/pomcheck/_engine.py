@@ -21,8 +21,10 @@ per query, straight from the kind's transition table (or the subtrees
 under the tree-native semantics), with successors grouped by pomset,
 and only the matched-label pair product reachable from the root pair is
 explored.
-The hp/hhp kinds run the same rounds over the posetal triple tables,
-which live on the left structure, keyed by the right one.
+The hp/hhp kinds run the same rounds over the posetal product, grown
+from the root triple in one pass and kept on the left structure (the
+right one joins its key as a weak reference); hp runs over the product
+quotiented by relevant events.
 """
 
 from __future__ import annotations
@@ -115,51 +117,85 @@ Triple = Tuple[Config, Iso, Config]
 ROOT_TRIPLE: Triple = (frozenset(), frozenset(), frozenset())
 
 
-def _history_isos(es1: PrimeEventStructure, c: Config,
-                  es2: PrimeEventStructure, d: Config):
-    """All label- and order-preserving bijections between two histories.
-
-    Partial bijections grow by one event of ``c`` at a time, in event
-    order, on an explicit stack: a recursive closure would be a
-    reference cycle holding both structures, and so all their derived
-    tables, until the cycle collector ran.
-    """
-    if len(c) != len(d):
-        return []
-    left = sorted(c)
-    right = sorted(d)
-    isos = []
-    stack = [()]
-    while stack:
-        pairs = stack.pop()
-        if len(pairs) == len(left):
-            isos.append(frozenset(pairs))
-            continue
-        e = left[len(pairs)]
-        used = {b for _, b in pairs}
-        for f in right:
-            if f in used or es1.labels[e] != es2.labels[f]:
-                continue
-            # order-preserving both ways over already-mapped events
-            if all((a in es1.causes[e]) == (b in es2.causes[f])
-                   and (e in es1.causes[a]) == (f in es2.causes[b])
-                   for a, b in pairs):
-                stack.append(pairs + ((e, f),))
-    return isos
+def _relevant(es: PrimeEventStructure) -> dict:
+    """Each configuration's events that cause some event outside it."""
+    above = {e: set() for e in es.events}
+    for x in es.events:
+        for a in es.causes[x]:
+            above[a].add(x)
+    return {c: {a for a in c if not above[a] <= c}
+            for c in es_mod.configurations(es)}
 
 
 @derived_table
+def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
+                     hereditary: bool):
+    """The posetal product grown from :data:`ROOT_TRIPLE` in one pass.
+
+    Returns ``(fwd, bwd, subs)``, keyed by every node in the order the
+    pass met them.  ``fwd[t]`` lists, for each action extension of C, its
+    label and the nodes that match it; ``bwd[t]`` does the same for the
+    extensions of D; ``subs[t]`` lists the nodes with an extension into
+    ``t``.  Events enabled at C or D cause nothing inside them, so
+    ``(C, f, D)`` extends by an equally labelled pair ``(e, g)`` of
+    enabled events exactly when ``f`` maps the causes of ``e`` onto the
+    causes of ``g``: D's enabled events are bucketed by label and causes,
+    and each extension of C is one lookup.  Every triple is reached,
+    because removing a maximal pair of a triple leaves a triple; the
+    extensions into a triple are exactly its maximal pairs, so ``subs``
+    are its immediate sub-triples.
+
+    With ``hereditary`` false (hp) a node is ``(C, f, D)`` with ``f``
+    restricted to the pairs with a relevant side, an event of C (or D)
+    being relevant when some event outside it lies above it.  Enabled
+    events have only relevant causes, and relevance only shrinks as
+    configurations grow, so every full triple has the demand of its
+    node: ranks, levels and witnesses are those of the full product.
+    hhp keeps full triples, whose sub-triples its closure reads.
+    """
+    tab1 = es_mod._action_transition_table(es1)
+    tab2 = es_mod._action_transition_table(es2)
+    causes1, causes2 = es1.causes, es2.causes
+    if not hereditary:
+        relevant1, relevant2 = _relevant(es1), _relevant(es2)
+    fwd, bwd = {}, {}
+    subs = {ROOT_TRIPLE: []}
+    order = [ROOT_TRIPLE]
+    for t in order:  # grows while it is read: one pass, breadth first
+        c, f, d = t
+        image = dict(f)
+        buckets = {}
+        for lab, g, d2 in tab2[d]:
+            buckets.setdefault((lab, causes2[g]), []).append((g, d2))
+        back = {}
+        obligations = []
+        for lab, e, c2 in tab1[c]:
+            key = (lab, frozenset([image[a] for a in causes1[e]]))
+            cands = []
+            for g, d2 in buckets.get(key, ()):
+                f2 = f | {(e, g)}
+                if not hereditary:
+                    r1, r2 = relevant1[c2], relevant2[d2]
+                    f2 = frozenset([p for p in f2 if p[0] in r1 or p[1] in r2])
+                t2 = (c2, f2, d2)
+                into = subs.get(t2)
+                if into is None:
+                    into = subs[t2] = []
+                    order.append(t2)
+                into.append(t)
+                cands.append(t2)
+                back.setdefault(g, []).append(t2)
+            obligations.append((lab, tuple(cands)))
+        fwd[t] = tuple(obligations)
+        bwd[t] = tuple((lab, tuple(back.get(g, ()))) for lab, g, _ in tab2[d])
+    return fwd, bwd, subs
+
+
 def triple_space(es1: PrimeEventStructure, es2: PrimeEventStructure) -> frozenset:
     """The posetal product of the two structures' configuration spaces."""
-    triples = set()
-    for c in es_mod.configurations(es1):
-        for d in es_mod.configurations(es2):
-            for f in _history_isos(es1, c, es2, d):
-                triples.add((c, f, d))
-    return frozenset(triples)
+    return frozenset(_posetal_product(es1, es2, True)[0])
 
 
-@derived_table
 def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
     """Immediate pointwise-sub-triple table for downward-closure pruning.
 
@@ -167,25 +203,9 @@ def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
     posetal product (isomorphisms preserve maximality), and iterating
     one-pair removals reaches every pointwise-smaller triple.
     """
-    space = triple_space(es1, es2)
-    table = {}
-    for (c, f, d) in space:
-        subs = []
-        fmap = dict(f)
-        for e, g in fmap.items():
-            if any(e in es1.causes[x] for x in c):
-                continue  # e not maximal in c
-            c0 = c - {e}
-            d0 = d - {g}
-            f0 = frozenset((a, b) for a, b in f if a != e)
-            sub = (c0, f0, d0)
-            if sub in space:
-                subs.append(sub)
-        table[(c, f, d)] = tuple(subs)
-    return table
+    return {t: tuple(s) for t, s in _posetal_product(es1, es2, True)[2].items()}
 
 
-@derived_table
 def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
     """Per-triple action-transfer candidate tables.
 
@@ -194,34 +214,7 @@ def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
     posetal product with D -a-> D' matching the same action; and the
     symmetric table for extensions of D.
     """
-    space = triple_space(es1, es2)
-    tab1 = es_mod._action_transition_table(es1)
-    tab2 = es_mod._action_transition_table(es2)
-    fwd = {}
-    bwd = {}
-    for (c, f, d) in space:
-        fw = []
-        for lab, e, c2 in tab1[c]:
-            cands = []
-            for lab2, g, d2 in tab2[d]:
-                if lab2 != lab:
-                    continue
-                f2 = f | {(e, g)}
-                if (c2, f2, d2) in space:
-                    cands.append((c2, f2, d2))
-            fw.append((lab, tuple(cands)))
-        bw = []
-        for lab, g, d2 in tab2[d]:
-            cands = []
-            for lab2, e, c2 in tab1[c]:
-                if lab2 != lab:
-                    continue
-                f2 = f | {(e, g)}
-                if (c2, f2, d2) in space:
-                    cands.append((c2, f2, d2))
-            bw.append((lab, tuple(cands)))
-        fwd[(c, f, d)] = tuple(fw)
-        bwd[(c, f, d)] = tuple(bw)
+    fwd, bwd, _ = _posetal_product(es1, es2, True)
     return fwd, bwd
 
 
@@ -315,12 +308,14 @@ class Ranks:
         return level is None or (n != OMEGA and level > n)
 
 
-def _rounds(demands, supers=None) -> dict:
+def _rounds(demands, extensions=None) -> dict:
     """Remove nodes in synchronous Kleene rounds; return their ranks.
 
-    ``demands`` maps every node to its :func:`demand`.  With ``supers``
-    (hhp) a node is removed in the same round as any of its immediate
-    sub-nodes, so every level stays downward closed.
+    ``demands`` maps every node to its :func:`demand`.  With
+    ``extensions`` (hhp: each node's forward obligations, whose
+    candidates are exactly the nodes it is an immediate sub-node of) a
+    node is removed in the same round as any of its immediate sub-nodes,
+    so every level stays downward closed.
     """
     alive = set(demands)
     preds = {n: [] for n in demands}
@@ -334,14 +329,15 @@ def _rounds(demands, supers=None) -> dict:
     while out:
         level += 1
         alive.difference_update(out)
-        if supers is not None:
+        if extensions is not None:
             stack = list(out)
             while stack:
-                for s in supers.get(stack.pop(), ()):
-                    if s in alive:
-                        alive.discard(s)
-                        out.append(s)
-                        stack.append(s)
+                for _, cands in extensions[stack.pop()]:
+                    for s in cands:
+                        if s in alive:
+                            alive.discard(s)
+                            out.append(s)
+                            stack.append(s)
         for n in out:
             rank[n] = level
         touched = {m for n in out for m in preds[n] if m in alive}
@@ -415,37 +411,35 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
                  labelled(root_bwd), len(pairs))
 
 
-def triple_demands(es1, es2, acts, pre) -> dict:
-    """The :func:`demand` of every triple of the posetal product.
+def triple_demands(fwd, bwd, es1, es2, acts, pre) -> dict:
+    """The :func:`demand` of every node of a posetal product.
 
-    ``acts`` (``None`` for none) restricts the observed actions.
+    ``fwd`` and ``bwd`` are the product's transfer tables; ``acts``
+    (``None`` for none) restricts the observed actions.
     """
-    fwd, bwd = triple_transitions(es1, es2)
     div1, div2 = es1.divergent_configs, es2.divergent_configs
     return {
-        t: demand(fwd[t], bwd[t], t[0] in div1, t[2] in div2, acts, pre)
-        for t in triple_space(es1, es2)
+        t: demand(fw, bwd[t], t[0] in div1, t[2] in div2, acts, pre)
+        for t, fw in fwd.items()
     }
 
 
 def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
-    """Rounds over the whole posetal product of the two structures."""
+    """Rounds over the posetal product of the two structures.
+
+    hp runs over the product quotiented by relevant events, hhp over the
+    full product.
+    """
     acts = None
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
-    demands = triple_demands(es1, es2, acts, pre)
-    supers = None
-    if hereditary:
-        supers = {}
-        for t, subs in sub_triples(es1, es2).items():
-            for s in subs:
-                supers.setdefault(s, []).append(t)
-    fwd, bwd = triple_transitions(es1, es2)
+    fwd, bwd, _ = _posetal_product(es1, es2, hereditary)
+    demands = triple_demands(fwd, bwd, es1, es2, acts, pre)
 
     def labelled(obligations):
         return tuple((singleton(lab), cands) for lab, cands in obligations)
 
-    return Ranks(_rounds(demands, supers), ROOT_TRIPLE,
+    return Ranks(_rounds(demands, fwd if hereditary else None), ROOT_TRIPLE,
                  labelled(fwd[ROOT_TRIPLE]), labelled(bwd[ROOT_TRIPLE]),
                  len(demands))
 

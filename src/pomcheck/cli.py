@@ -76,6 +76,12 @@ def _build_parser():
     return ap
 
 
+# Built once per process: parsing leaves the parser unchanged, and a
+# parser is a web of cyclic objects that every build would leave to the
+# cycle collector.
+_PARSER = _build_parser()
+
+
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         return grammar.parse(fh.read())
@@ -214,9 +220,8 @@ def _run_explain(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

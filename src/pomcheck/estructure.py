@@ -13,6 +13,7 @@ once per build; the action table adds one enabled event at a time.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import wraps
 from typing import Dict, FrozenSet, Tuple
@@ -38,7 +39,7 @@ class PrimeEventStructure:
     """
 
     __slots__ = ("events", "labels", "causes", "conflicts",
-                 "divergent_configs", "derived")
+                 "divergent_configs", "derived", "__weakref__")
 
     def __init__(self, events, labels, causes, conflicts, divergent_configs):
         object.__setattr__(self, "events", tuple(sorted(events)))
@@ -68,11 +69,18 @@ class PrimeEventStructure:
 
 
 def derived_table(fn):
-    """Memoize ``fn(es, *args)`` in ``es.derived``; ``args`` join the key."""
+    """Memoize ``fn(es, *args)`` in ``es.derived``; ``args`` join the key.
+
+    A structure argument joins the key as a weak reference, so a table of
+    two structures makes no reference cycle between them: each dies when
+    its last reference goes.  A table keyed by a structure that died
+    stays until ``es`` dies.
+    """
 
     @wraps(fn)
     def table(es, *args):
-        key = (fn, *args)
+        key = (fn, *(weakref.ref(a) if isinstance(a, PrimeEventStructure)
+                     else a for a in args))
         value = es.derived.get(key)
         if value is None:
             value = es.derived[key] = fn(es, *args)

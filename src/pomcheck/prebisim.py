@@ -30,6 +30,7 @@ from ._engine import (
     successors,
     transition_rows,
     triple_demands,
+    triple_transitions,
 )
 from .equiv import RelationKind, Verdict, Witness, verdict
 from .errors import StructuralError
@@ -106,8 +107,9 @@ def apply_F_hp(relation, es1, es2, hereditary=False, acts=None):
     stable subset.
     """
     relation = frozenset(relation)
+    fwd, bwd = triple_transitions(es1, es2)
     out = frozenset(
-        t for t, groups in triple_demands(es1, es2, acts, True).items()
+        t for t, groups in triple_demands(fwd, bwd, es1, es2, acts, True).items()
         if holds(groups, relation)
     )
     if hereditary:

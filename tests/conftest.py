@@ -167,3 +167,11 @@ def chain_tree(depth: int, label: str = "a"):
     for _ in range(depth):
         t = prefix(singleton(label), t)
     return t
+
+
+def f1_terms(labels):
+    """The three F1 processes over a label multiset: {m}:0, Q and {m}:W + W."""
+    m = ",".join(labels)
+    rest = ",".join(labels[1:])
+    return [f"{{{m}}}:0", f"{{{m}}}:0 + {labels[0]}:({{{rest}}}:0)",
+            f"{{{m}}}:W + W"]

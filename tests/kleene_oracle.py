@@ -6,21 +6,16 @@ over the full pair space (pomset/step) or posetal triple space (hp/hhp),
 and witnesses are read off the per-level relations.  They are slow on
 purpose and independent of the engine's interning, product exploration
 and round bookkeeping; tests compare the library's answers with them.
+The posetal fixpoints run over the enumerated product of
+``posetal_oracle``, not over the library's.
 """
 
 from functools import lru_cache
 
-from pomcheck._engine import (
-    ROOT_TRIPLE,
-    diverges,
-    pair_space,
-    sub_triples,
-    successors,
-    triple_space,
-    triple_transitions,
-)
+from pomcheck._engine import ROOT_TRIPLE, diverges, pair_space, successors
 from pomcheck.equiv import RelationKind, Witness
 from pomcheck.pomset import singleton
+from posetal_oracle import sub_triples, triple_space, triple_transitions
 
 
 def _acts(restriction):

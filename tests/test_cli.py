@@ -1,10 +1,15 @@
 """Command-line interface: dispatch, output format, exit codes."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import pomcheck
 from pomcheck import prebisim as pb
 from pomcheck.cli import (
     EXIT_BOUND,
@@ -251,3 +256,55 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", "--left", "P", "--right", "P",
                            "--rel", "step", str(bad))
         assert code == EXIT_INPUT
+
+
+class TestRepeatedCalls:
+    """One parser serves every call of a process."""
+
+    CALLS = [
+        ("check", "--left", "P", "--right", "Q", "--rel", "hp", "--witness"),
+        ("approx", "--left", "A", "--right", "AW", "--rel", "pomset",
+         "--max-level", "3"),
+        ("explain", "--left", "P", "--right", "Q", "--rel", "step"),
+        ("check", "--left", "P", "--rel", "step"),  # no --right: exit 3
+        ("check", "--left", "AW", "--right", "A", "--rel", "pomset", "--pre"),
+    ]
+
+    @staticmethod
+    def _fresh(argv):
+        """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
+        src = os.path.dirname(os.path.dirname(pomcheck.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-m", "pomcheck.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_repeated_calls_match_fresh_processes(self, procfile, capsys):
+        fresh = [self._fresh(argv + (procfile,)) for argv in self.CALLS]
+        assert [code for code, _, _ in fresh] == \
+            [EXIT_NOT_RELATED, EXIT_NOT_RELATED, EXIT_NOT_RELATED, EXIT_INPUT,
+             EXIT_RELATED]
+        for _ in range(2):
+            assert [run(capsys, *argv, procfile) for argv in self.CALLS] == \
+                fresh
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, procfile, capsys):
+        # argparse's usage message is left out: its HelpFormatter and root
+        # section refer to each other, so each one is cyclic garbage
+        calls = [argv for argv in self.CALLS if "--right" in argv]
+        calls.append(("check", "--left", "P", "--right", "Q", "--rel", "step",
+                      "--level", "2"))  # rejected after parsing: exit 3
+        gc.collect()
+        gc.disable()
+        try:
+            codes = [main([*argv, procfile]) for _ in range(2)
+                     for argv in calls]
+            found = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert codes[-1] == EXIT_INPUT
+        assert found == 0

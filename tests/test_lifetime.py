@@ -8,6 +8,7 @@ import pomcheck
 from conftest import chain_tree
 from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
+from pomcheck.cli import main
 from pomcheck.equiv import RelationKind, Witness, bisim
 from pomcheck.estructure import PrimeEventStructure, compiled
 from pomcheck.grammar import parse, parse_term
@@ -72,6 +73,30 @@ def test_queries_leave_no_cyclic_garbage():
         found = gc.collect()
     finally:
         gc.enable()
+    assert found == 0
+
+
+def test_kernel_queries_leave_no_cyclic_garbage(tmp_path, capsys):
+    # asking both directions keeps a product table on each structure,
+    # keyed by the other: the key must not hold the other alive
+    path = tmp_path / "f1.pom"
+    path.write_text(F1, encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in RelationKind:
+            table = parse(F1)
+            p = compiled(table["Q"])
+            q = compiled(table["P"])
+            pb.prebisim(p, q, kind, want_witness=True)
+            pb.prebisim(q, p, kind, want_witness=True)
+            main(["check", "--left", "Q", "--right", "Q", "--rel", kind.value,
+                  "--kernel", str(path)])
+        del table, p, q
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
     assert found == 0
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import table_oracle
-from conftest import chain_tree, random_coded_input
+from conftest import chain_tree, f1_terms, random_coded_input
 from pomcheck import _canon_py
 from pomcheck import estructure as es_mod
 from pomcheck.grammar import parse_term
@@ -17,19 +17,11 @@ from pomcheck.pomset import LabelledPoset, canonicalize, step_of
 from pomcheck.testgen import random_tree
 
 
-def _f1(labels):
-    """The three F1 processes over a label multiset: {m}:0, Q and {m}:W + W."""
-    m = ",".join(labels)
-    rest = ",".join(labels[1:])
-    return [f"{{{m}}}:0", f"{{{m}}}:0 + {labels[0]}:({{{rest}}}:0)",
-            f"{{{m}}}:W + W"]
-
-
 CORPUS = {
     "random": [random_tree(seed, size, ("a", "b", "c"), max_prefix_events=k)
                for size in range(2, 10) for seed in range(50) for k in (2, 3)],
-    "f1-abcd": [parse_term(text) for text in _f1("abcd")],
-    "f1-aabbc": [parse_term(text) for text in _f1("aabbc")],
+    "f1-abcd": [parse_term(text) for text in f1_terms("abcd")],
+    "f1-aabbc": [parse_term(text) for text in f1_terms("aabbc")],
     "chain12": [chain_tree(12)],
     "conflicting-steps": [parse_term("{a,b}:0 + {a,c}:0")],
 }
