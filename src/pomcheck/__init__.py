@@ -8,7 +8,7 @@ preorders, with distinguishing-tree extraction, over finite pomset
 synchronization trees compiled to prime event structures.
 """
 
-from ._kernel import BACKEND
+from ._canon_py import BACKEND
 from .equiv import RelationKind, Verdict, Witness, bisim, extend_iso
 from .errors import (
     InternalInconsistencyError,

@@ -35,11 +35,13 @@ class PrimeEventStructure:
     propagation policies stay testable.
 
     Identity semantics for equality/hashing: two separately compiled
-    structures are distinct states spaces even if isomorphic.
+    structures are distinct states spaces even if isomorphic.  ``tree``
+    is the synchronization tree the structure was compiled from
+    (:func:`compile_tree` sets it; ``None`` for one built directly).
     """
 
     __slots__ = ("events", "labels", "causes", "conflicts",
-                 "divergent_configs", "derived", "__weakref__")
+                 "divergent_configs", "derived", "tree", "__weakref__")
 
     def __init__(self, events, labels, causes, conflicts, divergent_configs):
         object.__setattr__(self, "events", tuple(sorted(events)))
@@ -52,6 +54,7 @@ class PrimeEventStructure:
         )
         object.__setattr__(self, "divergent_configs", frozenset(divergent_configs))
         object.__setattr__(self, "derived", {})
+        object.__setattr__(self, "tree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeEventStructure is immutable")
@@ -155,6 +158,7 @@ def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
         done = frozenset().union(*cones)
         stack.pop()
     es = PrimeEventStructure(range(counter), labels, causes, conflicts, divergent)
+    object.__setattr__(es, "tree", t)
     return es, ProcessState(es, EMPTY_CONFIG)
 
 

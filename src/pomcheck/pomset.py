@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Tuple
 
 from .errors import StructuralError
-from ._kernel import canonical_order
+from ._canon_py import _bits, canonical_order
 
 Label = str
 
@@ -36,6 +36,18 @@ def _transitive_closure(pairs, events):
     return {(a, b) for a in events for b in succ[a]}
 
 
+def _checked_labels(events, order, labels) -> dict:
+    """``labels`` as a dict, checked total on ``events``; ``order`` is
+    checked to stay on the carrier."""
+    labels = dict(labels)
+    if set(labels) != events:
+        raise StructuralError("labels must be total on events")
+    for a, b in order:
+        if a not in events or b not in events:
+            raise StructuralError(f"order pair ({a!r}, {b!r}) off the carrier")
+    return labels
+
+
 class LabelledPoset:
     """Immutable finite labelled strict partial order.
 
@@ -49,14 +61,20 @@ class LabelledPoset:
 
     def __init__(self, events: Iterable, order: Iterable[Tuple], labels: Mapping):
         events = frozenset(events)
-        labels = dict(labels)
-        if set(labels) != events:
-            raise StructuralError("labels must be total on events")
         order = set(order)
-        for a, b in order:
-            if a not in events or b not in events:
-                raise StructuralError(f"order pair ({a!r}, {b!r}) off the carrier")
-        order = _transitive_closure(order, events)
+        labels = _checked_labels(events, order, labels)
+        self._fill(events, _transitive_closure(order, events), labels)
+
+    @classmethod
+    def _closed(cls, events: Iterable, order: Iterable[Tuple], labels: Mapping):
+        """A poset whose ``order`` is already closed: checked, not closed."""
+        events = frozenset(events)
+        order = frozenset(order)
+        lp = object.__new__(cls)
+        lp._fill(events, order, _checked_labels(events, order, labels))
+        return lp
+
+    def _fill(self, events, order, labels):
         for a, b in order:
             if a == b:
                 raise StructuralError(f"order is cyclic or reflexive at {a!r}")
@@ -182,28 +200,32 @@ def shape_pomset(labels, below) -> Pomset:
 
     Event ``i`` carries ``labels[i]``; ``below[i]`` is the bitmask of
     the events strictly below ``i``, transitively closed.  An order-free
-    shape is a step and needs no canonical-labelling search.
+    shape is a step and needs no canonical-labelling search.  The
+    canonical poset and its key are read off the canonical order.
     """
     if not any(below):
         return step_of(labels)
     n = len(labels)
+    lower = [_bits(m) for m in below]
     above = [0] * n
-    for i, m in enumerate(below):
-        for j in range(n):
-            if m >> j & 1:
-                above[j] |= 1 << i
+    for i, js in enumerate(lower):
+        for j in js:
+            above[j] |= 1 << i
     label_code = {s: c for c, s in enumerate(sorted(set(labels)))}
-    perm = canonical_order(tuple(label_code[s] for s in labels), tuple(above))
-    names = [None] * n
-    for pos, orig in enumerate(perm):
-        names[orig] = f"e{pos}"
-    canon = LabelledPoset(
+    perm = canonical_order([label_code[s] for s in labels], above, below)
+    pos = [0] * n
+    for p, orig in enumerate(perm):
+        pos[orig] = p
+    pairs = tuple(sorted([(pos[j], pos[i]) for i, js in enumerate(lower)
+                          for j in js]))
+    canon_labels = tuple(labels[orig] for orig in perm)
+    names = [f"e{i}" for i in range(n)]
+    canon = LabelledPoset._closed(
         names,
-        ((names[j], names[i]) for i, m in enumerate(below) for j in range(n)
-         if m >> j & 1),
-        dict(zip(names, labels)),
+        [(names[a], names[b]) for a, b in pairs],
+        zip(names, canon_labels),
     )
-    return Pomset(canon)
+    return Pomset(canon, (canon_labels, pairs))
 
 
 def is_isomorphic(u: LabelledPoset, v: LabelledPoset) -> bool:
@@ -275,7 +297,8 @@ def step_of(labels: Iterable[Label]) -> Pomset:
     """
     labels = tuple(sorted(labels))
     names = [f"e{i}" for i in range(len(labels))]
-    return Pomset(LabelledPoset(names, (), dict(zip(names, labels))), (labels, ()))
+    return Pomset(LabelledPoset._closed(names, (), zip(names, labels)),
+                  (labels, ()))
 
 
 EMPTY_POMSET = step_of(())

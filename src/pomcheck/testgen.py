@@ -99,7 +99,10 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
 
     Returns ``None`` when the finitary preorder holds.  The extracted
     tree is re-verified against both processes before being returned; a
-    verification failure raises, signalling a bug.
+    verification failure raises, signalling a bug.  When ``p`` is the
+    root of a compiled tree, that tree is the last candidate: it
+    compiles to a structure isomorphic to ``p``'s, so for the posetal
+    kinds it lies below ``p``, and below ``q`` only if ``p`` does.
     """
     from . import prebisim as pb
 
@@ -118,6 +121,9 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
             candidates.append(
                 characteristic_tree(p, pmax_pom, m, RelationKind.POMSET)
             )
+    if (isinstance(p, ProcessState) and not p.config
+            and p.structure.tree is not None):
+        candidates.append(p.structure.tree)
     for chi in candidates:
         ts = tree_as_process(chi, kind)
         if pb.prebisim(ts, p, kind).related and not pb.prebisim(ts, q, kind).related:

@@ -4,7 +4,10 @@ Each is kept exactly as it was before its replacement, as a differential
 oracle for ``tests/test_tables.py``:
 
 - ``canonical_order``: the canonical-labelling search as recursive
-  nested closures (the library's runs on an explicit stack);
+  nested closures, with the colour refinement that scans every bit
+  pair each round and runs until no class splits (the library's search
+  runs on an explicit stack, and its refinement stops once the colouring
+  is discrete, which then is the canonical order);
 - ``canonicalize``: every poset through that search, steps included
   (the library gives an order-free poset its sorted labels directly);
 - ``compile_tree``: the recursive compile (the library's is iterative);
@@ -14,9 +17,32 @@ oracle for ``tests/test_tables.py``:
   events and canonicalizes each residual shape once).
 """
 
-from pomcheck._canon_py import _refine
 from pomcheck.estructure import PrimeEventStructure, configurations
 from pomcheck.pomset import LabelledPoset, Pomset
+
+
+def _refine(labels, above, below, n):
+    """Return a stable colouring (list of ints) of the n events."""
+    keys = [
+        (labels[i], bin(above[i]).count("1"), bin(below[i]).count("1"))
+        for i in range(n)
+    ]
+    colors = _rank(keys)
+    while True:
+        keys = []
+        for i in range(n):
+            succ = sorted(colors[j] for j in range(n) if above[i] >> j & 1)
+            pred = sorted(colors[j] for j in range(n) if below[i] >> j & 1)
+            keys.append((colors[i], tuple(succ), tuple(pred)))
+        new = _rank(keys)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _rank(keys):
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
 
 
 def canonical_order(labels, above):

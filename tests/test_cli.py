@@ -199,6 +199,21 @@ class TestExplain:
         assert pb.prebisim(ts, p, RelationKind.STEP).related
         assert not pb.prebisim(ts, q, RelationKind.STEP).related
 
+    @pytest.mark.parametrize("rel", ["hp", "hhp"])
+    def test_posetal_tree_for_a_refused_summand(self, tmp_path, capsys, rel):
+        # neither characteristic tree separates these; P's own tree does
+        path = tmp_path / "refused.pom"
+        path.write_text("proc P = {a,b}:0\nproc Q = {a,b}:0 + a:(b:0)\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "explain", "--left", "P", "--right",
+                             "Q", "--rel", rel, str(path))
+        assert code == EXIT_NOT_RELATED and err == ""
+        kind = RelationKind(rel)
+        ts = tree_as_process(parse_term(out.strip()), kind)
+        assert pb.prebisim(ts, compiled(parse_term("{a,b}:0")), kind).related
+        assert not pb.prebisim(
+            ts, compiled(parse_term("{a,b}:0 + a:(b:0)")), kind).related
+
     def test_no_tree_when_related(self, procfile, capsys):
         code, out, _ = run(capsys, "explain", "--left", "P", "--right", "P",
                            "--rel", "pomset", procfile)

@@ -1,5 +1,5 @@
 """The step and pomset tables, step canonical forms, the canonical-labelling
-search and the compile, each against the algorithm it replaced
+kernel and the compile, each against the algorithm it replaced
 (``tests/table_oracle.py``)."""
 
 import itertools
@@ -9,11 +9,18 @@ from collections import Counter
 import pytest
 
 import table_oracle
-from conftest import chain_tree, f1_terms, random_coded_input
+import pomcheck
+from conftest import chain_tree, closed_orders, f1_terms, random_coded_input
 from pomcheck import _canon_py
 from pomcheck import estructure as es_mod
 from pomcheck.grammar import parse_term
-from pomcheck.pomset import LabelledPoset, canonicalize, step_of
+from pomcheck.pomset import (
+    LabelledPoset,
+    Pomset,
+    canonicalize,
+    shape_pomset,
+    step_of,
+)
 from pomcheck.testgen import random_tree
 
 
@@ -60,18 +67,72 @@ def test_step_canonical_form_matches_kernel():
                 assert got.canon == kernel.canon
 
 
+def _below(above):
+    """The below-masks of a coded order given by its above-masks."""
+    below = [0] * len(above)
+    for i, m in enumerate(above):
+        for j in range(len(above)):
+            if m >> j & 1:
+                below[j] |= 1 << i
+    return tuple(below)
+
+
+def _exhaustive_coded_inputs():
+    """Every coded input of the exhaustive canonicalization corpus: each
+    closed order on at most 5 events, under each labelling by 2 codes."""
+    for n in range(6):
+        for order in closed_orders(n):
+            above = [0] * n
+            for a, b in order:
+                above[a] |= 1 << b
+            for labels in itertools.product((0, 1), repeat=n):
+                yield labels, tuple(above)
+
+
 def test_canonical_order_matches_nested_search():
     rng = random.Random(31)
-    for _ in range(2000):
-        labels, above = random_coded_input(rng, rng.randint(0, 9),
-                                           rng.randint(1, 3))
-        assert _canon_py.canonical_order(labels, above) == \
-            table_oracle.canonical_order(labels, above)
+    inputs = [random_coded_input(rng, rng.randint(0, 9), rng.randint(1, 3))
+              for _ in range(2000)]
     n = 70
-    labels = tuple(i % 2 for i in range(n))
-    above = tuple(sum(1 << j for j in range(i + 1, n)) for i in range(n))
-    assert _canon_py.canonical_order(labels, above) == \
-        table_oracle.canonical_order(labels, above)
+    inputs.append((tuple(i % 2 for i in range(n)),
+                   tuple(sum(1 << j for j in range(i + 1, n))
+                         for i in range(n))))
+    inputs.extend(_exhaustive_coded_inputs())
+    for labels, above in inputs:
+        assert _canon_py.canonical_order(labels, above, _below(above)) == \
+            table_oracle.canonical_order(labels, above)
+
+
+def test_canonical_order_of_nothing():
+    assert _canon_py.canonical_order((), (), ()) == ()
+
+
+def test_backend_is_python():
+    assert pomcheck.BACKEND == "python"
+
+
+def test_shape_pomset_matches_validated_construction():
+    """The canonical poset and key read off the canonical order equal the
+    ones the validating constructor and ``Pomset`` build from scratch."""
+    rng = random.Random(47)
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        codes, above = random_coded_input(rng, n, rng.randint(1, 3))
+        labels = ["abc"[c] for c in codes]
+        below = _below(above)
+        got = shape_pomset(labels, below)
+        perm = table_oracle.canonical_order(
+            [sorted(set(labels)).index(s) for s in labels], above)
+        name = {orig: f"e{pos}" for pos, orig in enumerate(perm)}
+        want = Pomset(LabelledPoset(
+            name.values(),
+            [(name[j], name[i]) for i in range(n) for j in range(n)
+             if below[i] >> j & 1],
+            {name[i]: labels[i] for i in range(n)},
+        ))
+        assert got._key == want._key
+        assert got.canon == want.canon
+        assert got == table_oracle.canonicalize(want.canon)
 
 
 @pytest.mark.parametrize("family", CORPUS)
