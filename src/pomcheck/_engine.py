@@ -4,11 +4,12 @@ Every relation is the greatest fixpoint of one functional over a
 product: state pairs for the pomset/step kinds, posetal triples
 ``(C, f, D)`` (``f`` an isomorphism of history posets) for hp/hhp.
 Starting from the whole product, the engine removes in synchronous
-Kleene rounds the nodes the functional rejects, re-examining after each
-round only the nodes that depend on one just removed, and records the
-round in which each node drops out.  That round is the node's level:
-the node lies in the level-n approximant exactly when it has no rank or
-a rank above n.  :func:`ranks` computes this rank map afresh on each
+Kleene rounds the nodes the functional rejects, and records the round
+in which each node drops out.  Each candidate group counts its live
+candidates, so a round touches only the groups that list a node just
+removed (Paige and Tarjan 1987).  That round is the node's level: the
+node lies in the level-n approximant exactly when it has no rank or a
+rank above n.  :func:`ranks` computes this rank map afresh on each
 call; verdicts, approximant levels and witnesses are all read from it.
 
 Bisimulation and prebisimulation share the functional (:func:`demand`)
@@ -22,9 +23,12 @@ under the tree-native semantics), with successors grouped by pomset,
 and only the matched-label pair product reachable from the root pair is
 explored.
 The hp/hhp kinds run the same rounds over the posetal product, grown
-from the root triple in one pass and kept on the left structure (the
-right one joins its key as a weak reference); hp runs over the product
-quotiented by relevant events.
+from the root triple in one pass over int nodes, each isomorphism
+packed into an int, and kept on the left structure (the right one joins
+its key as a weak reference); hp runs over the product quotiented by
+relevant events.  The triple-keyed tables of :func:`triple_space`,
+:func:`triple_transitions` and :func:`sub_triples` are decoded from the
+int product only when asked for.
 """
 
 from __future__ import annotations
@@ -36,7 +40,13 @@ from typing import FrozenSet, Optional, Tuple
 from . import estructure as es_mod
 from . import synctree as st_mod
 from .errors import StructuralError
-from .estructure import Config, PrimeEventStructure, ProcessState, derived_table
+from .estructure import (
+    EMPTY_CONFIG,
+    Config,
+    PrimeEventStructure,
+    ProcessState,
+    derived_table,
+)
 from .pomset import singleton
 from .synctree import SyncTree
 
@@ -127,23 +137,42 @@ def _relevant(es: PrimeEventStructure) -> dict:
             for c in es_mod.configurations(es)}
 
 
+def _config_id(c: Config, ids: dict, configs: list) -> int:
+    """The id of ``c`` in ``ids``, given when first met and listed in ``configs``."""
+    i = ids.get(c)
+    if i is None:
+        i = ids[c] = len(configs)
+        configs.append(c)
+    return i
+
+
 @derived_table
 def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                      hereditary: bool):
-    """The posetal product grown from :data:`ROOT_TRIPLE` in one pass.
+    """The posetal product grown from the root triple in one pass.
 
-    Returns ``(fwd, bwd, subs)``, keyed by every node in the order the
-    pass met them.  ``fwd[t]`` lists, for each action extension of C, its
-    label and the nodes that match it; ``bwd[t]`` does the same for the
-    extensions of D; ``subs[t]`` lists the nodes with an extension into
-    ``t``.  Events enabled at C or D cause nothing inside them, so
-    ``(C, f, D)`` extends by an equally labelled pair ``(e, g)`` of
-    enabled events exactly when ``f`` maps the causes of ``e`` onto the
-    causes of ``g``: D's enabled events are bucketed by label and causes,
-    and each extension of C is one lookup.  Every triple is reached,
-    because removing a maximal pair of a triple leaves a triple; the
-    extensions into a triple are exactly its maximal pairs, so ``subs``
-    are its immediate sub-triples.
+    Returns ``(nodes, pairs, fwd, bwd, configs1, configs2)``, indexed by
+    node; node 0 is the root.  Nodes and configurations are ints,
+    numbered in the order the pass meets them: ``nodes[n]`` is ``(C id,
+    iso, D id)``, and ``configs1`` and ``configs2`` list each side's
+    configurations in id order.  ``iso`` packs the node's isomorphism
+    into an int, one slot per event of the left structure holding the
+    position of its image in the right structure's events plus one, so
+    interning a node hashes three ints; ``pairs[n]`` lists the same
+    pairs as ``(e, g)`` tuples, for cause images and for decoding.
+    ``fwd[n]`` lists, for each action extension of C, its label and the
+    nodes that match it; ``bwd[n]`` does the same for the extensions of
+    D.
+    Events enabled at C or D cause nothing inside them, so ``(C, f, D)``
+    extends by an equally labelled pair ``(e, g)`` of enabled events
+    exactly when ``f`` maps the causes of ``e`` onto the causes of
+    ``g``.  Cause sets of the right structure are bitmasks over its
+    events: each D's enabled events are bucketed once per pass by label
+    and cause mask, and each extension of C is the mask of its causes'
+    images and one lookup.  Every triple is reached, because removing a
+    maximal pair of a triple leaves a triple; the extensions into a
+    triple are exactly its maximal pairs, so the nodes whose forward
+    candidates list a node are its immediate sub-triples.
 
     With ``hereditary`` false (hp) a node is ``(C, f, D)`` with ``f``
     restricted to the pairs with a relevant side, an event of C (or D)
@@ -151,49 +180,105 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     events have only relevant causes, and relevance only shrinks as
     configurations grow, so every full triple has the demand of its
     node: ranks, levels and witnesses are those of the full product.
-    hhp keeps full triples, whose sub-triples its closure reads.
+    A target's relevant events lie among its source's and the new
+    event, so a pair can leave ``f`` only on an extension whose target
+    has no more relevant events than its source; only those extensions
+    filter ``f``.  hhp keeps full triples, whose sub-triples its closure
+    reads.
     """
     tab1 = es_mod._action_transition_table(es1)
     tab2 = es_mod._action_transition_table(es2)
     causes1, causes2 = es1.causes, es2.causes
+    position1 = {e: i for i, e in enumerate(es1.events)}
+    position2 = {g: i for i, g in enumerate(es2.events)}
+    width = len(es2.events).bit_length()
     if not hereditary:
         relevant1, relevant2 = _relevant(es1), _relevant(es2)
-    fwd, bwd = {}, {}
-    subs = {ROOT_TRIPLE: []}
-    order = [ROOT_TRIPLE]
-    for t in order:  # grows while it is read: one pass, breadth first
-        c, f, d = t
-        image = dict(f)
-        buckets = {}
-        for lab, g, d2 in tab2[d]:
-            buckets.setdefault((lab, causes2[g]), []).append((g, d2))
-        back = {}
+    configs1, configs2 = [EMPTY_CONFIG], [EMPTY_CONFIG]
+    ids1, ids2 = {EMPTY_CONFIG: 0}, {EMPTY_CONFIG: 0}
+    root = (0, 0, 0)
+    nodes, pairs, fwd, bwd = [root], [()], [], []
+    index = {root: 0}
+    rows_at, buckets_at = {}, {}
+    for c, f, d in nodes:  # grows while it is read: one pass, breadth first
+        pn = pairs[len(fwd)]
+        image = dict(pn)
+        rows = rows_at.get(c)
+        if rows is None:  # C's extensions, once per pass
+            cset = configs1[c]
+            rows = rows_at[c] = [
+                (lab, e, width * position1[e], _config_id(c2, ids1, configs1),
+                 not hereditary and len(relevant1[c2]) <= len(relevant1[cset]))
+                for lab, e, c2 in tab1[cset]
+            ]
+        at_d = buckets_at.get(d)
+        if at_d is None:  # D's extensions by label and cause mask, once
+            dset = configs2[d]
+            buckets = {}
+            for j, (lab, g, d2) in enumerate(tab2[dset]):
+                m = 0
+                for b in causes2[g]:
+                    m |= 1 << position2[b]
+                buckets.setdefault((lab, m), []).append(
+                    (j, g, position2[g] + 1, _config_id(d2, ids2, configs2),
+                     not hereditary
+                     and len(relevant2[d2]) <= len(relevant2[dset])))
+            at_d = buckets_at[d] = buckets, [lab for lab, _, _ in tab2[dset]]
+        buckets, labels = at_d
+        back = [[] for _ in labels]
         obligations = []
-        for lab, e, c2 in tab1[c]:
-            key = (lab, frozenset([image[a] for a in causes1[e]]))
+        for lab, e, at, c2, shrinks1 in rows:
+            m = 0
+            for a in causes1[e]:
+                m |= 1 << position2[image[a]]
             cands = []
-            for g, d2 in buckets.get(key, ()):
-                f2 = f | {(e, g)}
-                if not hereditary:
-                    r1, r2 = relevant1[c2], relevant2[d2]
-                    f2 = frozenset([p for p in f2 if p[0] in r1 or p[1] in r2])
-                t2 = (c2, f2, d2)
-                into = subs.get(t2)
-                if into is None:
-                    into = subs[t2] = []
-                    order.append(t2)
-                into.append(t)
-                cands.append(t2)
-                back.setdefault(g, []).append(t2)
+            for j, g, s, d2, shrinks2 in buckets.get((lab, m), ()):
+                f2 = f | s << at
+                p2 = pn + ((e, g),)
+                if shrinks1 or shrinks2:
+                    r1, r2 = relevant1[configs1[c2]], relevant2[configs2[d2]]
+                    for a, b in p2:
+                        if a not in r1 and b not in r2:
+                            f2 -= position2[b] + 1 << width * position1[a]
+                    p2 = tuple([p for p in p2 if p[0] in r1 or p[1] in r2])
+                key = (c2, f2, d2)
+                t = index.get(key)
+                if t is None:
+                    t = index[key] = len(nodes)
+                    nodes.append(key)
+                    pairs.append(p2)
+                cands.append(t)
+                back[j].append(t)
             obligations.append((lab, tuple(cands)))
-        fwd[t] = tuple(obligations)
-        bwd[t] = tuple((lab, tuple(back.get(g, ()))) for lab, g, _ in tab2[d])
-    return fwd, bwd, subs
+        fwd.append(tuple(obligations))
+        bwd.append(tuple(zip(labels, map(tuple, back))))
+    return nodes, pairs, fwd, bwd, configs1, configs2
+
+
+@derived_table
+def _triple_tables(es1: PrimeEventStructure, es2: PrimeEventStructure):
+    """The full product keyed by triples: ``(fwd, bwd, subs)``."""
+    nodes, pairs, fwd, bwd, configs1, configs2 = \
+        _posetal_product(es1, es2, True)
+    triples = [(configs1[c], frozenset(p), configs2[d])
+               for (c, _, d), p in zip(nodes, pairs)]
+
+    def keyed(table):
+        return {t: tuple((lab, tuple([triples[x] for x in cands]))
+                         for lab, cands in obligations)
+                for t, obligations in zip(triples, table)}
+
+    subs = {t: [] for t in triples}
+    for t, obligations in zip(triples, fwd):
+        for _, cands in obligations:
+            for x in cands:
+                subs[triples[x]].append(t)
+    return keyed(fwd), keyed(bwd), subs
 
 
 def triple_space(es1: PrimeEventStructure, es2: PrimeEventStructure) -> frozenset:
     """The posetal product of the two structures' configuration spaces."""
-    return frozenset(_posetal_product(es1, es2, True)[0])
+    return frozenset(_triple_tables(es1, es2)[0])
 
 
 def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
@@ -203,7 +288,7 @@ def sub_triples(es1: PrimeEventStructure, es2: PrimeEventStructure):
     posetal product (isomorphisms preserve maximality), and iterating
     one-pair removals reaches every pointwise-smaller triple.
     """
-    return {t: tuple(s) for t, s in _posetal_product(es1, es2, True)[2].items()}
+    return {t: tuple(s) for t, s in _triple_tables(es1, es2)[2].items()}
 
 
 def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
@@ -214,7 +299,7 @@ def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
     posetal product with D -a-> D' matching the same action; and the
     symmetric table for extensions of D.
     """
-    fwd, bwd, _ = _posetal_product(es1, es2, True)
+    fwd, bwd, _ = _triple_tables(es1, es2)
     return fwd, bwd
 
 
@@ -311,20 +396,31 @@ class Ranks:
 def _rounds(demands, extensions=None) -> dict:
     """Remove nodes in synchronous Kleene rounds; return their ranks.
 
-    ``demands`` maps every node to its :func:`demand`.  With
-    ``extensions`` (hhp: each node's forward obligations, whose
-    candidates are exactly the nodes it is an immediate sub-node of) a
-    node is removed in the same round as any of its immediate sub-nodes,
-    so every level stays downward closed.
+    ``demands`` maps every node to its :func:`demand`.  Each candidate
+    group counts its live candidates, once per listing (Paige and Tarjan
+    1987): a removed node decrements every group that lists it, and a
+    group that reaches 0 puts its owner in the next round, so the total
+    work is linear in the listings.  With ``extensions`` (hhp: each
+    node's forward obligations, whose candidates are exactly the nodes
+    it is an immediate sub-node of) a node is removed in the same round
+    as any of its immediate sub-nodes, so every level stays downward
+    closed.
     """
-    alive = set(demands)
-    preds = {n: [] for n in demands}
+    owner, live = [], []
+    listed = {n: [] for n in demands}  # node -> the groups listing it
+    out = []
     for n, groups in demands.items():
-        for cands in groups or ():
+        if groups is None or not all(groups):
+            out.append(n)
+            continue
+        for cands in groups:
+            group = len(live)
+            owner.append(n)
+            live.append(len(cands))
             for c in cands:
-                preds[c].append(n)
+                listed[c].append(group)
+    alive = set(demands)
     rank = {}
-    out = [n for n, groups in demands.items() if not holds(groups, alive)]
     level = 0
     while out:
         level += 1
@@ -338,10 +434,14 @@ def _rounds(demands, extensions=None) -> dict:
                             alive.discard(s)
                             out.append(s)
                             stack.append(s)
+        emptied = []
         for n in out:
             rank[n] = level
-        touched = {m for n in out for m in preds[n] if m in alive}
-        out = [m for m in touched if not holds(demands[m], alive)]
+            for group in listed[n]:
+                live[group] -= 1
+                if not live[group]:
+                    emptied.append(owner[group])
+        out = [m for m in dict.fromkeys(emptied) if m in alive]
     return rank
 
 
@@ -433,15 +533,19 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     acts = None
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
-    fwd, bwd, _ = _posetal_product(es1, es2, hereditary)
-    demands = triple_demands(fwd, bwd, es1, es2, acts, pre)
+    nodes, _, fwd, bwd, configs1, configs2 = \
+        _posetal_product(es1, es2, hereditary)
+    div1, div2 = es1.divergent_configs, es2.divergent_configs
+    demands = {
+        n: demand(fw, bw, configs1[c] in div1, configs2[d] in div2, acts, pre)
+        for n, ((c, _, d), fw, bw) in enumerate(zip(nodes, fwd, bwd))
+    }
 
     def labelled(obligations):
         return tuple((singleton(lab), cands) for lab, cands in obligations)
 
-    return Ranks(_rounds(demands, fwd if hereditary else None), ROOT_TRIPLE,
-                 labelled(fwd[ROOT_TRIPLE]), labelled(bwd[ROOT_TRIPLE]),
-                 len(demands))
+    return Ranks(_rounds(demands, fwd if hereditary else None), 0,
+                 labelled(fwd[0]), labelled(bwd[0]), len(demands))
 
 
 def _posetal_structures(p, q, kind):

@@ -2,7 +2,8 @@
 
 All preorder queries test the left process below the right one
 (``left <= right``).  Exit codes: 0 related/held, 1 not related
-(definitive), 2 bound-exhausted, 3 input error.
+(definitive), 2 bound-exhausted, 3 input error, 4 internal error (a
+self-check of the package failed: a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -14,17 +15,34 @@ import time
 
 from . import estructure, grammar, prebisim, testgen
 from .equiv import RelationKind, Verdict, bisim
-from .errors import ParseError, PomcheckError
+from .errors import InternalInconsistencyError, ParseError, PomcheckError
 from .prebisim import OMEGA, StratParams
 
 EXIT_RELATED = 0
 EXIT_NOT_RELATED = 1
 EXIT_BOUND = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage message is formatted in advance.
+
+    ``ArgumentParser.error`` formats the usage with a new
+    ``HelpFormatter``, whose root section refers back to it, so every
+    usage error would leave cyclic garbage.  :func:`_build_parser` sets
+    ``usage_text`` once the parser is complete.
+    """
+
+    usage_text = ""
+
+    def error(self, message):
+        sys.stderr.write(self.usage_text)
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pomcheck",
         description="Decide truly concurrent (pre)bisimulations over finite "
         "pomset-labelled processes. Preorder queries test left <= right.",
@@ -73,6 +91,8 @@ def _build_parser():
         "explain", help="print a distinguishing tree when one exists"
     )
     common(explain)
+    for p in (ap, *sub.choices.values()):
+        p.usage_text = p.format_usage()
     return ap
 
 
@@ -232,6 +252,9 @@ def main(argv=None) -> int:
         if args.command == "trees":
             return _run_trees(args)
         return _run_explain(args)
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc} (this is a bug)", file=sys.stderr)
+        return EXIT_INTERNAL
     except (PomcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

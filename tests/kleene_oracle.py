@@ -7,7 +7,9 @@ and witnesses are read off the per-level relations.  They are slow on
 purpose and independent of the engine's interning, product exploration
 and round bookkeeping; tests compare the library's answers with them.
 The posetal fixpoints run over the enumerated product of
-``posetal_oracle``, not over the library's.
+``posetal_oracle``, not over the library's.  :func:`rescan_rounds` is
+the engine's earlier round loop, which re-scans every group of every
+touched node in each round.
 """
 
 from functools import lru_cache
@@ -285,3 +287,50 @@ def failure_witness(p, q, kind, restriction=None):
         if not any(v == u and (p2, q2) in prev for u, p2 in successors(p, step_only)):
             return Witness("pomset", v)
     return Witness("level", idx)
+
+
+# ---------------------------------------------------------------------------
+# the engine's round loop before live-candidate counters
+# ---------------------------------------------------------------------------
+
+
+def _holds(groups, alive):
+    return groups is not None and all(
+        any(c in alive for c in cands) for cands in groups
+    )
+
+
+def rescan_rounds(demands, extensions=None):
+    """The rank map of ``_engine._rounds``, by re-scanning touched nodes.
+
+    Each round re-checks every group of every node that lists a node
+    removed in the round before.  With ``extensions`` the nodes listed
+    in a removed node's extensions are removed in the same round,
+    transitively.
+    """
+    alive = set(demands)
+    preds = {n: [] for n in demands}
+    for n, groups in demands.items():
+        for cands in groups or ():
+            for c in cands:
+                preds[c].append(n)
+    rank = {}
+    out = [n for n, groups in demands.items() if not _holds(groups, alive)]
+    level = 0
+    while out:
+        level += 1
+        alive.difference_update(out)
+        if extensions is not None:
+            stack = list(out)
+            while stack:
+                for _, cands in extensions[stack.pop()]:
+                    for s in cands:
+                        if s in alive:
+                            alive.discard(s)
+                            out.append(s)
+                            stack.append(s)
+        for n in out:
+            rank[n] = level
+        touched = {m for n in out for m in preds[n] if m in alive}
+        out = [m for m in touched if not _holds(demands[m], alive)]
+    return rank

@@ -3,7 +3,8 @@
 Every public answer read from the engine (verdicts, levels, witnesses,
 approximants, stratifications, the finitary preorder and the depth the
 tree enumeration uses) must equal the answer of the object-level
-fixpoint loops in ``kleene_oracle``.
+fixpoint loops in ``kleene_oracle``, and every rank map of the round
+loop must equal that of the re-scanning loop kept there.
 """
 
 import random
@@ -11,14 +12,16 @@ import random
 import pytest
 
 import kleene_oracle as oracle
-from conftest import tree_corpus
+from conftest import f1_terms, tree_corpus
 from pomcheck import _engine
 from pomcheck import prebisim as pb
 from pomcheck.equiv import RelationKind, bisim
 from pomcheck.estructure import PrimeEventStructure, ProcessState, compiled
+from pomcheck.grammar import parse_term
 from pomcheck.pomset import singleton, step_of
 from pomcheck.prebisim import OMEGA, StratParams
 from pomcheck.synctree import SyncTree, prefix
+from pomcheck.testgen import random_tree
 
 ALL_KINDS = list(RelationKind)
 PAIR_KINDS = (RelationKind.POMSET, RelationKind.STEP)
@@ -177,3 +180,112 @@ def test_hhp_downward_closure_matches_oracle():
             for m in range(5):
                 assert pb.level_approx(x, y, kind, m) == \
                     oracle.member_at(x, y, kind, m)
+
+
+def _checked_rounds(monkeypatch):
+    """Check the whole rank map of every ``_engine._rounds`` call.
+
+    Returns the list of calls made, each as whether it had extensions.
+    """
+    calls = []
+    rounds = _engine._rounds
+
+    def checked(demands, extensions=None):
+        rank = rounds(demands, extensions)
+        assert rank == oracle.rescan_rounds(demands, extensions)
+        calls.append(extensions is not None)
+        return rank
+
+    monkeypatch.setattr(_engine, "_rounds", checked)
+    return calls
+
+
+def _random_trees():
+    """900 seeded random pairs: each pair, and each tree against itself."""
+    pairs = []
+    for i in range(300):
+        p = random_tree(f"L{i}", 7, ("a", "b"))
+        q = random_tree(f"R{i}", 7, ("a", "b"))
+        pairs += [(p, q), (p, p), (q, q)]
+    return pairs
+
+
+def _f1_trees(labels):
+    trees = [parse_term(text) for text in f1_terms(labels)]
+    return [(p, q) for p in trees for q in trees]
+
+
+ROUND_FAMILIES = {
+    "random": _random_trees,
+    **{f"f1-{m}": (lambda m=m: _f1_trees(m))
+       for m in ("abcde", "aabbc", "aaabb")},
+}
+
+
+@pytest.mark.parametrize("family", ROUND_FAMILIES)
+@pytest.mark.parametrize("kind,tree_native", CASES, ids=CASE_IDS)
+def test_rank_maps_match_rescan_oracle(monkeypatch, kind, tree_native, family):
+    calls = _checked_rounds(monkeypatch)
+    for p, q in _processes(ROUND_FAMILIES[family](), tree_native):
+        pmax = pb.dominating_restriction(p, q, kind)
+        bisim(p, q, kind, want_witness=True)
+        pb.prebisim(p, q, kind, want_witness=True)
+        pb.fin_preorder(p, q, kind, want_witness=True)
+        _engine.stable_depth(p, q, kind, pmax)
+    assert calls
+    assert all(calls) == any(calls) == (kind is RelationKind.HHP)
+
+
+def _chain(length):
+    """Node 0 fails at once; node i > 0 asks for node i - 1."""
+    return {i: [[i - 1]] if i else None for i in range(length)}
+
+
+def _closure_chain(length):
+    """Node 0 fails at once, each other node keeps itself, and each node
+    extends into the next, so the closure removes all of them in round 1;
+    one more node asks for the last of them."""
+    demands = {i: [[i]] if i else None for i in range(length)}
+    demands[length] = [[length - 1, length - 1]]
+    extensions = {i: [("a", (i + 1,))] for i in range(length - 1)}
+    extensions[length - 1] = extensions[length] = []
+    return demands, extensions
+
+
+def _random_demands(rng):
+    """Small demand dicts with every shape the functional can give."""
+    nodes = range(rng.randint(1, 12))
+    demands = {}
+    for n in nodes:
+        if rng.random() < 0.1:
+            demands[n] = None
+        else:
+            demands[n] = [[rng.choice(nodes) for _ in range(rng.randint(0, 4))]
+                          for _ in range(rng.randint(0, 3))]
+    extensions = None
+    if rng.random() < 0.5:
+        extensions = {n: [("a", tuple(rng.choices(nodes, k=rng.randint(0, 2))))]
+                      for n in nodes}
+    return demands, extensions
+
+
+def test_hand_made_rank_maps_match_rescan_oracle():
+    cases = [
+        # None demands and empty groups fail in round 1
+        ({0: None, 1: [[]], 2: [[0], [3]], 3: [[2]], 4: [[1, 3]]}, None),
+        # a candidate listed twice counts twice
+        ({0: None, 1: [[0, 0]], 2: [[0, 0, 3], [1]], 3: [[3]]}, None),
+        # self-loops keep a node alive unless another group empties
+        ({0: [[0]], 1: [[1], [2]], 2: [[2, 1], []], 3: [[3, 2]]}, None),
+        (_chain(60), None),
+        _closure_chain(40),
+    ]
+    rng = random.Random("rounds-hand-made")
+    cases += [_random_demands(rng) for _ in range(400)]
+    for demands, extensions in cases:
+        assert _engine._rounds(demands, extensions) == \
+            oracle.rescan_rounds(demands, extensions)
+    assert _engine._rounds(*cases[1]) == {0: 1, 1: 2, 2: 3}
+    assert _engine._rounds(*cases[2]) == {2: 1, 1: 2}
+    assert _engine._rounds(*cases[3]) == {i: i + 1 for i in range(60)}
+    assert _engine._rounds(*cases[4]) == {**dict.fromkeys(range(40), 1), 40: 2}
