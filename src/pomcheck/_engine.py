@@ -23,10 +23,11 @@ under the tree-native semantics), with successors grouped by pomset,
 and only the matched-label pair product reachable from the root pair is
 explored.
 The hp/hhp kinds run the same rounds over the posetal product, grown
-from the root triple in one pass over int nodes, each isomorphism
-packed into an int, and kept on the left structure (the right one joins
-its key as a weak reference); hp runs over the product quotiented by
-relevant events.  The triple-keyed tables of :func:`triple_space`,
+from the root triple in one pass over each structure's configuration
+graph, with configurations as bitmasks and each isomorphism packed into
+an int, and kept on the left structure (the right one joins its key as
+a weak reference); hp runs over the product quotiented by relevant
+events.  The triple-keyed tables of :func:`triple_space`,
 :func:`triple_transitions` and :func:`sub_triples` are decoded from the
 int product only when asked for.
 """
@@ -41,7 +42,6 @@ from . import estructure as es_mod
 from . import synctree as st_mod
 from .errors import StructuralError
 from .estructure import (
-    EMPTY_CONFIG,
     Config,
     PrimeEventStructure,
     ProcessState,
@@ -127,23 +127,38 @@ Triple = Tuple[Config, Iso, Config]
 ROOT_TRIPLE: Triple = (frozenset(), frozenset(), frozenset())
 
 
-def _relevant(es: PrimeEventStructure) -> dict:
-    """Each configuration's events that cause some event outside it."""
-    above = {e: set() for e in es.events}
-    for x in es.events:
-        for a in es.causes[x]:
-            above[a].add(x)
-    return {c: {a for a in c if not above[a] <= c}
-            for c in es_mod.configurations(es)}
+def _relevant(above, c: int) -> int:
+    """The events of configuration ``c`` that cause some event outside it.
+
+    ``c`` and the result are masks; ``above`` is the structure's
+    :attr:`~pomcheck.estructure.EventMasks.above`.
+    """
+    out, rest = 0, c
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if above[bit.bit_length() - 1] & ~c:
+            out |= bit
+    return out
 
 
-def _config_id(c: Config, ids: dict, configs: list) -> int:
-    """The id of ``c`` in ``ids``, given when first met and listed in ``configs``."""
-    i = ids.get(c)
-    if i is None:
-        i = ids[c] = len(configs)
-        configs.append(c)
-    return i
+class _Relevance(dict):
+    """Configuration mask -> its relevant events, computed when first read."""
+
+    __slots__ = ("above",)
+
+    def __init__(self, above):
+        super().__init__()
+        self.above = above
+
+    def __missing__(self, c):
+        r = self[c] = _relevant(self.above, c)
+        return r
+
+
+def _slot_width(es2: PrimeEventStructure) -> int:
+    """Bits per slot of a packed isomorphism into ``es2``."""
+    return len(es2.events).bit_length()
 
 
 @derived_table
@@ -151,28 +166,25 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                      hereditary: bool):
     """The posetal product grown from the root triple in one pass.
 
-    Returns ``(nodes, pairs, fwd, bwd, configs1, configs2)``, indexed by
-    node; node 0 is the root.  Nodes and configurations are ints,
-    numbered in the order the pass meets them: ``nodes[n]`` is ``(C id,
-    iso, D id)``, and ``configs1`` and ``configs2`` list each side's
-    configurations in id order.  ``iso`` packs the node's isomorphism
-    into an int, one slot per event of the left structure holding the
-    position of its image in the right structure's events plus one, so
-    interning a node hashes three ints; ``pairs[n]`` lists the same
-    pairs as ``(e, g)`` tuples, for cause images and for decoding.
-    ``fwd[n]`` lists, for each action extension of C, its label and the
-    nodes that match it; ``bwd[n]`` does the same for the extensions of
-    D.
+    Returns ``(nodes, fwd, bwd)``, indexed by node; node 0 is the root,
+    and nodes are numbered in the order the pass meets them.
+    ``nodes[n]`` is ``(C, iso, D)``: C and D are configuration masks of
+    the two structures' configuration graphs, and ``iso`` packs the
+    isomorphism into an int, one slot per event position of the left
+    structure holding the position of its image in the right structure
+    plus one, so interning a node hashes three ints.  ``fwd[n]`` lists,
+    for each action extension of C, its label and the nodes that match
+    it; ``bwd[n]`` does the same for the extensions of D.
     Events enabled at C or D cause nothing inside them, so ``(C, f, D)``
     extends by an equally labelled pair ``(e, g)`` of enabled events
     exactly when ``f`` maps the causes of ``e`` onto the causes of
-    ``g``.  Cause sets of the right structure are bitmasks over its
-    events: each D's enabled events are bucketed once per pass by label
-    and cause mask, and each extension of C is the mask of its causes'
-    images and one lookup.  Every triple is reached, because removing a
-    maximal pair of a triple leaves a triple; the extensions into a
-    triple are exactly its maximal pairs, so the nodes whose forward
-    candidates list a node are its immediate sub-triples.
+    ``g``.  Each D's enabled events are bucketed once per pass by label
+    and cause mask, read from the right structure's masks, and each
+    extension of C is the mask of its causes' images, read from the
+    slots of ``iso``, and one lookup.  Every triple is reached, because
+    removing a maximal pair of a triple leaves a triple; the extensions
+    into a triple are exactly its maximal pairs, so the nodes whose
+    forward candidates list a node are its immediate sub-triples.
 
     With ``hereditary`` false (hp) a node is ``(C, f, D)`` with ``f``
     restricted to the pairs with a relevant side, an event of C (or D)
@@ -183,85 +195,105 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     A target's relevant events lie among its source's and the new
     event, so a pair can leave ``f`` only on an extension whose target
     has no more relevant events than its source; only those extensions
-    filter ``f``.  hhp keeps full triples, whose sub-triples its closure
-    reads.
+    filter ``f``, over the pairs whose left event is no longer relevant
+    (each node keeps the mask of its pairs' left events for this).
+    Relevance is computed once per configuration met.  hhp keeps full
+    triples, whose sub-triples its closure reads.
     """
-    tab1 = es_mod._action_transition_table(es1)
-    tab2 = es_mod._action_transition_table(es2)
-    causes1, causes2 = es1.causes, es2.causes
-    position1 = {e: i for i, e in enumerate(es1.events)}
-    position2 = {g: i for i, g in enumerate(es2.events)}
-    width = len(es2.events).bit_length()
+    graph1 = es_mod._config_graph(es1)
+    graph2 = es_mod._config_graph(es2)
+    masks1, masks2 = es_mod._event_masks(es1), es_mod._event_masks(es2)
+    causes2 = masks2.causes
+    width = _slot_width(es2)
+    full = (1 << width) - 1
+    # the slot offsets of each left event's causes
+    cause_slots = []
+    for m in masks1.causes:
+        slots = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            slots.append(width * (bit.bit_length() - 1))
+        cause_slots.append(tuple(slots))
     if not hereditary:
-        relevant1, relevant2 = _relevant(es1), _relevant(es2)
-    configs1, configs2 = [EMPTY_CONFIG], [EMPTY_CONFIG]
-    ids1, ids2 = {EMPTY_CONFIG: 0}, {EMPTY_CONFIG: 0}
+        rel1, rel2 = _Relevance(masks1.above), _Relevance(masks2.above)
     root = (0, 0, 0)
-    nodes, pairs, fwd, bwd = [root], [()], [], []
+    nodes, doms, fwd, bwd = [root], [0], [], []
     index = {root: 0}
     rows_at, buckets_at = {}, {}
     for c, f, d in nodes:  # grows while it is read: one pass, breadth first
-        pn = pairs[len(fwd)]
-        image = dict(pn)
+        dom = doms[len(fwd)]
         rows = rows_at.get(c)
         if rows is None:  # C's extensions, once per pass
-            cset = configs1[c]
             rows = rows_at[c] = [
-                (lab, e, width * position1[e], _config_id(c2, ids1, configs1),
-                 not hereditary and len(relevant1[c2]) <= len(relevant1[cset]))
-                for lab, e, c2 in tab1[cset]
+                (lab, 1 << i, width * i, cause_slots[i], c2,
+                 not hereditary and rel1[c2].bit_count() <= rel1[c].bit_count())
+                for lab, i, c2 in graph1[c]
             ]
         at_d = buckets_at.get(d)
         if at_d is None:  # D's extensions by label and cause mask, once
-            dset = configs2[d]
+            edges = graph2[d]
             buckets = {}
-            for j, (lab, g, d2) in enumerate(tab2[dset]):
-                m = 0
-                for b in causes2[g]:
-                    m |= 1 << position2[b]
-                buckets.setdefault((lab, m), []).append(
-                    (j, g, position2[g] + 1, _config_id(d2, ids2, configs2),
-                     not hereditary
-                     and len(relevant2[d2]) <= len(relevant2[dset])))
-            at_d = buckets_at[d] = buckets, [lab for lab, _, _ in tab2[dset]]
+            for k, (lab, j, d2) in enumerate(edges):
+                buckets.setdefault((lab, causes2[j]), []).append(
+                    (k, j + 1, d2, not hereditary
+                     and rel2[d2].bit_count() <= rel2[d].bit_count()))
+            at_d = buckets_at[d] = buckets, [lab for lab, _, _ in edges]
         buckets, labels = at_d
         back = [[] for _ in labels]
         obligations = []
-        for lab, e, at, c2, shrinks1 in rows:
+        for lab, bit, at, slots, c2, shrinks1 in rows:
             m = 0
-            for a in causes1[e]:
-                m |= 1 << position2[image[a]]
+            for s in slots:  # the images of e's causes
+                m |= 1 << ((f >> s & full) - 1)
             cands = []
-            for j, g, s, d2, shrinks2 in buckets.get((lab, m), ()):
-                f2 = f | s << at
-                p2 = pn + ((e, g),)
+            for k, s, d2, shrinks2 in buckets.get((lab, m), ()):
+                f2, dom2 = f | s << at, dom | bit
                 if shrinks1 or shrinks2:
-                    r1, r2 = relevant1[configs1[c2]], relevant2[configs2[d2]]
-                    for a, b in p2:
-                        if a not in r1 and b not in r2:
-                            f2 -= position2[b] + 1 << width * position1[a]
-                    p2 = tuple([p for p in p2 if p[0] in r1 or p[1] in r2])
+                    r2 = rel2[d2]
+                    gone = dom2 & ~rel1[c2]
+                    while gone:
+                        x = gone & -gone
+                        gone ^= x
+                        a = width * (x.bit_length() - 1)
+                        b = f2 >> a & full
+                        if not r2 >> (b - 1) & 1:
+                            f2 -= b << a
+                            dom2 ^= x
                 key = (c2, f2, d2)
                 t = index.get(key)
                 if t is None:
                     t = index[key] = len(nodes)
                     nodes.append(key)
-                    pairs.append(p2)
+                    doms.append(dom2)
                 cands.append(t)
-                back[j].append(t)
+                back[k].append(t)
             obligations.append((lab, tuple(cands)))
         fwd.append(tuple(obligations))
         bwd.append(tuple(zip(labels, map(tuple, back))))
-    return nodes, pairs, fwd, bwd, configs1, configs2
+    return nodes, fwd, bwd
 
 
 @derived_table
 def _triple_tables(es1: PrimeEventStructure, es2: PrimeEventStructure):
-    """The full product keyed by triples: ``(fwd, bwd, subs)``."""
-    nodes, pairs, fwd, bwd, configs1, configs2 = \
-        _posetal_product(es1, es2, True)
-    triples = [(configs1[c], frozenset(p), configs2[d])
-               for (c, _, d), p in zip(nodes, pairs)]
+    """The full product keyed by triples: ``(fwd, bwd, subs)``.
+
+    Masks and slots are decoded back to event sets and event pairs.
+    """
+    nodes, fwd, bwd = _posetal_product(es1, es2, True)
+    sets1, sets2 = es_mod._config_sets(es1), es_mod._config_sets(es2)
+    events1, events2 = es1.events, es2.events
+    width = _slot_width(es2)
+    full = (1 << width) - 1
+    triples = []
+    for c, f, d in nodes:
+        pairs, rest = [], c
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            pairs.append((events1[i], events2[(f >> width * i & full) - 1]))
+        triples.append((sets1[c], frozenset(pairs), sets2[d]))
 
     def keyed(table):
         return {t: tuple((lab, tuple([triples[x] for x in cands]))
@@ -533,11 +565,11 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     acts = None
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
-    nodes, _, fwd, bwd, configs1, configs2 = \
-        _posetal_product(es1, es2, hereditary)
-    div1, div2 = es1.divergent_configs, es2.divergent_configs
+    nodes, fwd, bwd = _posetal_product(es1, es2, hereditary)
+    div1 = es_mod._event_masks(es1).divergent
+    div2 = es_mod._event_masks(es2).divergent
     demands = {
-        n: demand(fw, bw, configs1[c] in div1, configs2[d] in div2, acts, pre)
+        n: demand(fw, bw, c in div1, d in div2, acts, pre)
         for n, ((c, _, d), fw, bw) in enumerate(zip(nodes, fwd, bwd))
     }
 

@@ -5,10 +5,22 @@ posets, pomset/step/action transitions and the divergence predicate are
 all evaluated here.  Structures are immutable after compilation; derived
 tables are memoized write-once on the structure (:func:`derived_table`).
 
-Each kind builds only the transition table it reads.  The step table is
-built straight from the conflict-free sets of enabled events; the pomset
-table lists every strict extension and canonicalizes each residual shape
-once per build; the action table adds one enabled event at a time.
+Configurations are grown once per structure as bitmasks, an event's bit
+being its position in ``es.events``.  :func:`_event_masks` holds each
+event's label and its cause, conflict and "above" masks;
+:func:`_config_graph` maps each configuration mask to its one-event
+extensions, grown from the empty configuration, with each
+configuration's enabled events derived from its parent's: adding ``e``
+drops ``e`` and its conflicts, and enables the events above ``e`` whose
+causes are then all present and which conflict with none of them.
+:func:`configurations` and the action and step tables read this graph,
+building each configuration's event set once, when one of them is first
+asked for; the posetal product reads the masks directly.
+
+Each kind builds only the transition table it reads.  The step table
+takes the conflict-free sets of each configuration's enabled events; the
+pomset table lists every strict extension and canonicalizes each
+residual shape once per build; the action table is the graph's edges.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import wraps
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Tuple
 
 from .pomset import LabelledPoset, Pomset, shape_pomset, step_of
 from .synctree import SyncTree
@@ -71,6 +83,10 @@ class PrimeEventStructure:
         return f"PrimeEventStructure({len(self.events)} events)"
 
 
+def _key_part(a):
+    return weakref.ref(a) if isinstance(a, PrimeEventStructure) else a
+
+
 def derived_table(fn):
     """Memoize ``fn(es, *args)`` in ``es.derived``; ``args`` join the key.
 
@@ -82,8 +98,7 @@ def derived_table(fn):
 
     @wraps(fn)
     def table(es, *args):
-        key = (fn, *(weakref.ref(a) if isinstance(a, PrimeEventStructure)
-                     else a for a in args))
+        key = (fn, *map(_key_part, args))
         value = es.derived.get(key)
         if value is None:
             value = es.derived[key] = fn(es, *args)
@@ -167,25 +182,115 @@ def compiled(t: SyncTree) -> ProcessState:
     return compile_tree(t)[1]
 
 
+class EventMasks(NamedTuple):
+    """A structure's events as bitmasks over their positions.
+
+    Entry ``i`` of ``labels``, ``causes``, ``conflicts`` and ``above``
+    describes ``es.events[i]``: its label, and the masks of its causes,
+    of the events in conflict with it and of the events it causes.
+    ``divergent`` holds the divergent configurations as masks.
+    """
+
+    labels: tuple
+    causes: tuple
+    conflicts: tuple
+    above: tuple
+    divergent: frozenset
+
+
+@derived_table
+def _event_masks(es: PrimeEventStructure) -> EventMasks:
+    """The per-event masks of ``es``; an event's bit is its position."""
+    events = es.events
+    bits = {e: 1 << i for i, e in enumerate(events)}
+    above = dict.fromkeys(events, 0)
+    causes, conflicts = [], []
+    for e in events:
+        b = bits[e]
+        m = 0
+        for a in es.causes[e]:
+            m |= bits[a]
+            above[a] |= b
+        causes.append(m)
+        m = 0
+        for x in es.conflicts[e]:
+            m |= bits[x]
+        conflicts.append(m)
+    divergent = []
+    for c in es.divergent_configs:
+        m = 0
+        for e in c:
+            m |= bits[e]
+        divergent.append(m)
+    return EventMasks(tuple([es.labels[e] for e in events]), tuple(causes),
+                      tuple(conflicts), tuple(above.values()),
+                      frozenset(divergent))
+
+
+@derived_table
+def _config_graph(es: PrimeEventStructure) -> dict:
+    """Configuration mask -> ``((label, event position, target mask), ...)``.
+
+    Grown from mask 0; each row lists the configuration's enabled events
+    in ascending order.  A configuration's enabled events are derived
+    from those of the configuration it was first reached from: adding
+    ``e`` drops ``e`` and the events in conflict with it, and enables
+    each event above ``e`` whose causes are now all present and which
+    conflicts with none of them.  No other event can become enabled: one
+    that was not enabled before still misses a cause or still conflicts
+    with the configuration.
+    """
+    labels, causes, conflicts, above, _ = _event_masks(es)
+    first = 0
+    for i, m in enumerate(causes):
+        if not m:
+            first |= 1 << i
+    enabled = {0: first}
+    graph = {}
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        here = enabled[c]
+        edges = []
+        rest = here
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            d = c | bit
+            if d not in enabled:
+                nxt = here & ~(bit | conflicts[i])
+                up = above[i]
+                while up:
+                    x = up & -up
+                    up ^= x
+                    j = x.bit_length() - 1
+                    if not causes[j] & ~d and not conflicts[j] & d:
+                        nxt |= x
+                enabled[d] = nxt
+                stack.append(d)
+            edges.append((labels[i], i, d))
+        graph[c] = tuple(edges)
+    return graph
+
+
+@derived_table
+def _config_sets(es: PrimeEventStructure) -> dict:
+    """Configuration mask -> its event set, each built once from its parent's."""
+    events = es.events
+    sets = {0: EMPTY_CONFIG}
+    for c, edges in _config_graph(es).items():  # parents come first
+        cset = sets[c]
+        for _, i, d in edges:
+            if d not in sets:
+                sets[d] = cset | {events[i]}
+    return sets
+
+
 @derived_table
 def configurations(es: PrimeEventStructure) -> frozenset:
     """All conflict-free, causally downward-closed finite event sets."""
-    seen = {EMPTY_CONFIG}
-    stack = [EMPTY_CONFIG]
-    while stack:
-        cfg = stack.pop()
-        for e in es.events:
-            if e in cfg:
-                continue
-            if not es.causes[e] <= cfg:
-                continue
-            if es.conflicts[e] & cfg:
-                continue
-            nxt = cfg | {e}
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+    return frozenset(_config_sets(es).values())
 
 
 @derived_table
@@ -228,25 +333,26 @@ def _step_transition_table(es: PrimeEventStructure):
     Events enabled at ``c`` are pairwise causally unrelated, so each
     nonempty conflict-free set of them is the residual of exactly one
     extension of ``c`` with an empty residual order, and every such
-    extension arises this way.  No pomset table is built.
+    extension arises this way.  The enabled events are read off the
+    configuration graph; no pomset table is built.
     """
+    conflicts = _event_masks(es).conflicts
+    sets = _config_sets(es)
     steps = {}
     table = {}
-    for c in configurations(es):
-        subsets = [()]
-        for e in es.events:
-            if e in c or not es.causes[e] <= c or es.conflicts[e] & c:
-                continue
-            subsets += [s + (e,) for s in subsets
-                        if es.conflicts[e].isdisjoint(s)]
+    for c, edges in _config_graph(es).items():
+        subsets = [(0, ())]
+        for lab, i, _ in edges:
+            bit, clash = 1 << i, conflicts[i]
+            subsets += [(m | bit, labs + (lab,)) for m, labs in subsets
+                        if not m & clash]
         out = []
-        for s in subsets[1:]:
-            labels = tuple(sorted(es.labels[e] for e in s))
-            u = steps.get(labels)
+        for m, labs in subsets[1:]:
+            u = steps.get(labs)  # keyed by labels in event order; step_of sorts
             if u is None:
-                u = steps[labels] = step_of(labels)
-            out.append((u, c.union(s)))
-        table[c] = tuple(out)
+                u = steps[labs] = step_of(labs)
+            out.append((u, sets[c | m]))
+        table[sets[c]] = tuple(out)
     return table
 
 
@@ -270,17 +376,10 @@ def step_transitions(s: ProcessState) -> frozenset:
 
 @derived_table
 def _action_transition_table(es: PrimeEventStructure):
-    """config -> tuple of (label, added event, target config)."""
-    configs = configurations(es)
-    table = {c: [] for c in configs}
-    for c in configs:
-        for e in es.events:
-            if e in c or not es.causes[e] <= c or es.conflicts[e] & c:
-                continue
-            d = c | {e}
-            if d in configs:
-                table[c].append((es.labels[e], e, d))
-    return {c: tuple(v) for c, v in table.items()}
+    """config -> tuple of (label, added event, target config), in event order."""
+    events, sets = es.events, _config_sets(es)
+    return {sets[c]: tuple([(lab, events[i], sets[d]) for lab, i, d in edges])
+            for c, edges in _config_graph(es).items()}
 
 
 def action_transitions(s: ProcessState) -> frozenset:

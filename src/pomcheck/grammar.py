@@ -264,17 +264,32 @@ def format_pomset(p: Pomset) -> str:
 
 
 def format_tree(t: SyncTree) -> str:
-    if not t.summands:
-        return "W" if t.divergent else "0"
-    parts = []
-    for pom, child in t.summands:
-        if child.summands:
-            parts.append(f"{format_pomset(pom)}:({format_tree(child)})")
+    """The term of ``t``, written left to right from an explicit stack.
+
+    The stack holds the text and the subtrees still to be written, last
+    first, so depth is not bounded by the recursion limit.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item.summands:
+            out.append("W" if item.divergent else "0")
         else:
-            parts.append(f"{format_pomset(pom)}:{format_tree(child)}")
-    if t.divergent:
-        parts.append("W")
-    return " + ".join(parts)
+            work = []
+            for pom, child in item.summands:
+                if work:
+                    work.append(" + ")
+                if child.summands:
+                    work += [f"{format_pomset(pom)}:(", child, ")"]
+                else:
+                    work += [f"{format_pomset(pom)}:", child]
+            if item.divergent:
+                work.append(" + W")
+            stack += reversed(work)
+    return "".join(out)
 
 
 def format_table(table: Dict[str, SyncTree]) -> str:

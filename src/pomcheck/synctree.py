@@ -74,9 +74,22 @@ class SyncTree:
         return SyncTree(self._summands, True)
 
     def __eq__(self, other):
+        """Equal sort keys, compared level by level on an explicit stack."""
         if not isinstance(other, SyncTree):
             return NotImplemented
-        return self._key == other._key
+        stack = [(self, other)]
+        while stack:
+            t, u = stack.pop()
+            if t is u:
+                continue
+            if (t._hash != u._hash or t._divergent != u._divergent
+                    or len(t._summands) != len(u._summands)):
+                return False
+            for (p, c), (q, d) in zip(t._summands, u._summands):
+                if p.sort_key != q.sort_key:
+                    return False
+                stack.append((c, d))
+        return True
 
     def __hash__(self):
         return self._hash
@@ -112,8 +125,17 @@ def tree_size(t: SyncTree) -> int:
 
 
 def subtrees(t: SyncTree) -> frozenset:
-    """All distinct subtrees of ``t``, including ``t`` itself."""
-    acc = {t}
-    for _, c in t.summands:
-        acc |= subtrees(c)
-    return frozenset(acc)
+    """All distinct subtrees of ``t``, including ``t`` itself.
+
+    One walk on an explicit stack with one ``seen`` set, so a subtree is
+    expanded once however often it occurs, and depth is not bounded by
+    the recursion limit.
+    """
+    seen = {t}
+    stack = [t]
+    while stack:
+        for _, c in stack.pop().summands:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return frozenset(seen)

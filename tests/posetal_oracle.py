@@ -5,14 +5,15 @@ the product from the root triple: every pair of configurations is
 searched for history isomorphisms, and the transfer and sub-triple
 tables test each candidate for membership in the enumerated space.
 They are slow on purpose and independent of the library's extension
-test, its buckets and its hp quotient; ``tests/test_posetal.py``
-compares the library's product with them, and ``kleene_oracle`` runs
-its reference fixpoints over them.
+test, its buckets and its hp quotient, and they read the configurations
+and action tables of ``table_oracle``, not the library's configuration
+graph; ``tests/test_posetal.py`` compares the library's product with
+them, and ``kleene_oracle`` runs its reference fixpoints over them.
 """
 
 from functools import lru_cache
 
-from pomcheck.estructure import _action_transition_table, configurations
+from table_oracle import action_table, configurations
 
 
 def history_isos(es1, c, es2, d):
@@ -49,8 +50,9 @@ def history_isos(es1, c, es2, d):
 def triple_space(es1, es2) -> frozenset:
     """The posetal product of the two structures' configuration spaces."""
     triples = set()
+    configs2 = configurations(es2)
     for c in configurations(es1):
-        for d in configurations(es2):
+        for d in configs2:
             for f in history_isos(es1, c, es2, d):
                 triples.add((c, f, d))
     return frozenset(triples)
@@ -86,8 +88,8 @@ def triple_transitions(es1, es2):
     symmetric table for extensions of D.
     """
     space = triple_space(es1, es2)
-    tab1 = _action_transition_table(es1)
-    tab2 = _action_transition_table(es2)
+    tab1 = action_table(es1)
+    tab2 = action_table(es2)
     fwd = {}
     bwd = {}
     for (c, f, d) in space:

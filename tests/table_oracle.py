@@ -1,7 +1,7 @@
 """Replaced algorithms of the kernel, compile and transition-table layers.
 
 Each is kept exactly as it was before its replacement, as a differential
-oracle for ``tests/test_tables.py``:
+oracle for ``tests/test_tables.py`` and ``tests/test_config_graph.py``:
 
 - ``canonical_order``: the canonical-labelling search as recursive
   nested closures, with the colour refinement that scans every bit
@@ -14,11 +14,17 @@ oracle for ``tests/test_tables.py``:
   it returns the structure only;
 - ``pomset_table``: one history poset and one canonicalization per
   extension ``c < d`` (the library builds the step table from enabled
-  events and canonicalizes each residual shape once).
+  events and canonicalizes each residual shape once);
+- ``configurations``, ``action_table``, ``step_table`` and ``relevant``:
+  every event tested against every configuration with frozenset subset
+  and intersection tests, and each configuration's relevant events as a
+  set (the library grows one graph of configuration masks, deriving each
+  configuration's enabled events from its parent's, and computes
+  relevance on masks).
 """
 
-from pomcheck.estructure import PrimeEventStructure, configurations
-from pomcheck.pomset import LabelledPoset, Pomset
+from pomcheck.estructure import EMPTY_CONFIG, PrimeEventStructure
+from pomcheck.pomset import LabelledPoset, Pomset, step_of
 
 
 def _refine(labels, above, below, n):
@@ -148,6 +154,69 @@ def pomset_table(es):
                 out.append((u, d))
         table[c] = tuple(out)
     return table
+
+
+def configurations(es):
+    """All conflict-free, causally downward-closed finite event sets."""
+    seen = {EMPTY_CONFIG}
+    stack = [EMPTY_CONFIG]
+    while stack:
+        cfg = stack.pop()
+        for e in es.events:
+            if e in cfg:
+                continue
+            if not es.causes[e] <= cfg:
+                continue
+            if es.conflicts[e] & cfg:
+                continue
+            nxt = cfg | {e}
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
+
+
+def action_table(es, configs=None):
+    """config -> tuple of (label, added event, target config)."""
+    if configs is None:
+        configs = configurations(es)
+    table = {c: [] for c in configs}
+    for c in configs:
+        for e in es.events:
+            if e in c or not es.causes[e] <= c or es.conflicts[e] & c:
+                continue
+            d = c | {e}
+            if d in configs:
+                table[c].append((es.labels[e], e, d))
+    return {c: tuple(v) for c, v in table.items()}
+
+
+def step_table(es, configs=None):
+    """config -> tuple of (step Pomset, target config), all step extensions."""
+    if configs is None:
+        configs = configurations(es)
+    table = {}
+    for c in configs:
+        subsets = [()]
+        for e in es.events:
+            if e in c or not es.causes[e] <= c or es.conflicts[e] & c:
+                continue
+            subsets += [s + (e,) for s in subsets
+                        if es.conflicts[e].isdisjoint(s)]
+        table[c] = tuple((step_of(sorted(es.labels[e] for e in s)), c.union(s))
+                         for s in subsets[1:])
+    return table
+
+
+def relevant(es, configs=None):
+    """Each configuration's events that cause some event outside it."""
+    if configs is None:
+        configs = configurations(es)
+    above = {e: set() for e in es.events}
+    for x in es.events:
+        for a in es.causes[x]:
+            above[a].add(x)
+    return {c: {a for a in c if not above[a] <= c} for c in configs}
 
 
 def compile_tree(t):

@@ -11,12 +11,19 @@ from collections import Counter
 
 import pytest
 
+import kleene_oracle
 import posetal_oracle as oracle
+import table_oracle
 from conftest import f1_terms
 from pomcheck import _engine
 from pomcheck import prebisim as pb
 from pomcheck.equiv import RelationKind, bisim, verdict
-from pomcheck.estructure import compiled
+from pomcheck.estructure import (
+    EMPTY_CONFIG,
+    PrimeEventStructure,
+    ProcessState,
+    compiled,
+)
 from pomcheck.grammar import parse_term
 from pomcheck.pomset import singleton
 from pomcheck.testgen import random_tree
@@ -123,3 +130,109 @@ def test_f1_self_product_sizes(labels, triples, hp_nodes):
     assert _engine.ranks(p, q, HHP).size == triples
     assert bisim(p, q, HP).related
     assert bisim(p, q, HHP).related
+
+
+def _hand_built(spec, stride, offset):
+    """A structure of branches in mutual conflict, one per ``spec`` entry.
+
+    An entry is ``(labels, divergent)``: a branch of events t, u, v and
+    optionally w, labelled by ``labels``, with t below u and v and u
+    below w; ``divergent`` lists configurations of the branch as index
+    tuples.  The k-th event made gets id ``(stride * k) % 1009 +
+    offset``, so ids are scattered, their order is not the order the
+    events were made in, and a cause can sit above its effect in
+    position order.
+    """
+    labels, causes, divergent, cones = {}, {}, [], []
+    k = 0
+    for labs, div in spec:
+        ids = [(stride * (k + i)) % 1009 + offset for i in range(len(labs))]
+        k += len(labs)
+        labels.update(zip(ids, labs))
+        causes[ids[1]] = causes[ids[2]] = {ids[0]}
+        if len(ids) > 3:
+            causes[ids[3]] = {ids[0], ids[1]}
+        divergent += [frozenset(ids[i] for i in c) for c in div]
+        cones.append(ids)
+    conflicts = {e: {x for cone in cones if e not in cone for x in cone}
+                 for e in labels}
+    return PrimeEventStructure(labels, labels, causes, conflicts, divergent)
+
+
+def _spec(short, also_divergent):
+    return [("abb" if i == short else "abba" if i % 4 else "abbc",
+             [(0, 1)] * (i % 5 == 0) + [(0, 1, 2, 3)] * (i == also_divergent))
+            for i in range(17)]
+
+
+def _node_key(es1, es2, t, hereditary, rel1, rel2):
+    """The product node of the full triple ``t``, packed as the library packs it."""
+    def mask(es, events):
+        return sum(1 << es.events.index(e) for e in events)
+
+    c, f, d = t
+    width = len(es2.events).bit_length()
+    iso = 0
+    for a, b in f:
+        if hereditary or a in rel1[c] or b in rel2[d]:
+            iso |= es2.events.index(b) + 1 << width * es1.events.index(a)
+    return mask(es1, c), iso, mask(es2, d)
+
+
+def test_positions_are_not_events():
+    left = _hand_built(_spec(None, None), 37, 3)
+    copy = _hand_built(_spec(None, None), 53, 11)
+    other = _hand_built(_spec(3, 10), 41, 7)
+    other_copy = _hand_built(_spec(3, 10), 59, 5)
+    assert len(left.events) == 68 and len(other.events) == 67
+    assert left.events != tuple(range(68))
+    quotient_sizes = []
+    for es1, es2 in [(left, copy), (left, other), (other, left),
+                     (other, other_copy)]:
+        space = oracle.triple_space(es1, es2)
+        assert _engine.triple_space(es1, es2) == space
+        ofwd, obwd = oracle.triple_transitions(es1, es2)
+        fwd, bwd = _engine.triple_transitions(es1, es2)
+        subs, osubs = _engine.sub_triples(es1, es2), oracle.sub_triples(es1, es2)
+        for t in space:
+            assert _obligations(fwd[t]) == _obligations(ofwd[t])
+            assert _obligations(bwd[t]) == _obligations(obwd[t])
+            assert set(subs[t]) == set(osubs[t])
+        rel1, rel2 = table_oracle.relevant(es1), table_oracle.relevant(es2)
+        p, q = ProcessState(es1, EMPTY_CONFIG), ProcessState(es2, EMPTY_CONFIG)
+        for kind in (HP, HHP):
+            hereditary = kind is HHP
+            nodes = _engine._posetal_product(es1, es2, hereditary)[0]
+            node = {n: i for i, n in enumerate(nodes)}
+            keys = {t: _node_key(es1, es2, t, hereditary, rel1, rel2)
+                    for t in space}
+            assert set(keys.values()) == set(nodes)
+            if not hereditary:
+                quotient_sizes.append((len(nodes), len(space)))
+            pmax = pb.dominating_restriction(p, q, kind)
+            queries = [
+                (None, False, bisim(p, q, kind, want_witness=True)),
+                (None, True, pb.prebisim(p, q, kind, want_witness=True)),
+                (pmax, True, pb.fin_preorder(p, q, kind, want_witness=True)),
+            ]
+            for restriction, pre, got in queries:
+                acts = None
+                if restriction is not None:
+                    acts = {u.label_multiset()[0] for u in restriction}
+                demands = _engine.triple_demands(ofwd, obwd, es1, es2, acts, pre)
+                rank = kleene_oracle.rescan_rounds(
+                    demands, ofwd if hereditary else None)
+                r = _engine.ranks(p, q, kind, restriction, pre)
+                assert r.size == len(nodes)
+                for t in space:
+                    assert r.rank.get(node[keys[t]]) == rank.get(t)
+                root = _engine.ROOT_TRIPLE
+                full = _engine.Ranks(
+                    rank, root,
+                    tuple((singleton(lab), c) for lab, c in ofwd[root]),
+                    tuple((singleton(lab), c) for lab, c in obwd[root]),
+                    len(space))
+                assert got == verdict(full, True, restriction)
+                assert r.depth == full.depth
+    # the hp quotient merges some triples
+    assert any(n < size for n, size in quotient_sizes)

@@ -1,8 +1,12 @@
 """Synchronization tree structure and queries."""
 
+import sys
+
 import pytest
 
+from pomcheck.equiv import RelationKind, bisim
 from pomcheck.errors import StructuralError
+from pomcheck.grammar import format_tree, parse_term
 from pomcheck.pomset import EMPTY_POMSET, chain_of, singleton, step_of
 from pomcheck.synctree import (
     NIL,
@@ -91,3 +95,33 @@ def test_with_omega_is_idempotent():
 def test_immutable():
     with pytest.raises(AttributeError):
         NIL.divergent = True
+
+
+def test_deep_chain_subtrees_bisim_and_format():
+    t = NIL
+    for _ in range(3000):
+        t = prefix(A, t)
+    assert len(subtrees(t)) == 3001
+    assert bisim(t, t, RelationKind.STEP).related
+    text = format_tree(t)
+    assert text == "a:(" * 2999 + "a:0" + ")" * 2999
+    # the parser still recurses once per nesting level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3 * 3000)
+    try:
+        back = parse_term(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back is not t
+    assert back == t and hash(back) == hash(t)
+    assert back != prefix(A, t) and back != OMEGA
+
+
+def test_equality_compares_each_level():
+    ab = SyncTree([(A, prefix(B)), (B, NIL)])
+    assert ab == SyncTree([(B, NIL), (A, prefix(B))])
+    assert ab != SyncTree([(A, prefix(B)), (B, OMEGA)])
+    assert ab != SyncTree([(A, prefix(A)), (B, NIL)])
+    assert ab != SyncTree([(A, prefix(B))])
+    assert ab.with_omega() != ab
+    assert (ab == "ab") is False
