@@ -15,7 +15,17 @@ File grammar (UTF-8, ``#`` comments to end of line)::
 
 ``W`` denotes the divergence summand.  Edges are covering pairs; the
 transitive closure is applied.  The final semicolon inside ``pomset{}``
-may be omitted.
+may be omitted.  The parser is lenient in two ways: ``W`` may stand
+anywhere among the summands, and more than once.
+
+Text becomes a tree in one linear pass.  :class:`_Tokens` scans the
+whole text once with ``_TOKEN_RE.finditer`` and keeps each token's
+kind, value and start offset; a line and column are computed from an
+offset only when a :class:`ParseError` is raised, and an error at the
+end of input is reported just past the last character.  The parser
+keeps the open ``(`` of a term on an explicit stack, so nesting depth
+is not bounded by the recursion limit, and builds each node once, when
+its term ends.  A bare label is the shared ``singleton`` pomset.
 """
 
 from __future__ import annotations
@@ -24,17 +34,17 @@ import re
 from typing import Dict, List, Tuple
 
 from .errors import ParseError, StructuralError
-from .pomset import LabelledPoset, Pomset, canonicalize, step_of
-from .synctree import SyncTree
+from .pomset import LabelledPoset, Pomset, canonicalize, singleton, step_of
+from .synctree import NIL, OMEGA, SyncTree
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
+    (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<num>[0-9]+)
   | (?P<punct>[=+:(){},;<])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -43,172 +53,193 @@ _KEYWORDS = {"proc", "pomset", "W"}
 
 
 class _Tokens:
+    """The tokens of a text, as parallel lists ending in an ``eof`` token.
+
+    The ``eof`` token has the empty value and starts just past the last
+    character, so the parser can read one token ahead of any token but
+    ``eof`` without a bounds check.
+    """
+
+    __slots__ = ("text", "kinds", "values", "starts")
+
     def __init__(self, text: str):
-        self.items: List[Tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kinds: List[str] = []
+        values: List[str] = []
+        starts: List[int] = []
+        for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            value = m.group()
-            if kind == "nl":
-                line += 1
-                col = 1
-            else:
-                if kind not in ("ws", "comment"):
-                    self.items.append((kind, value, line, col))
-                col += len(value)
-            pos = m.end()
-        self.i = 0
+            if kind == "ws" or kind == "comment":
+                continue
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}",
+                                 *_position(text, m.start()))
+            kinds.append(kind)
+            values.append(m.group())
+            starts.append(m.start())
+        kinds.append("eof")
+        values.append("")
+        starts.append(len(text))
+        self.text = text
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
 
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", -1, -1)
+    def error(self, i: int, message: str) -> ParseError:
+        """``message`` at the start of token ``i``."""
+        return ParseError(message, *_position(self.text, self.starts[i]))
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    def unexpected(self, i: int, message: str) -> ParseError:
+        """``message`` at token ``i``, naming the token unless it is ``eof``."""
+        val = self.values[i]
+        return self.error(i, message + (f" (at {val!r})" if val else ""))
 
-    def expect(self, value: str):
-        kind, val, line, col = self.next()
+    def expect(self, i: int, value: str) -> int:
+        """The index after token ``i``, which must be ``value``."""
+        val = self.values[i]
         if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}",
-                             line, col)
-        return val
-
-    def error(self, message: str):
-        _, val, line, col = self.peek()
-        raise ParseError(message + (f" (at {val!r})" if val else ""), line, col)
+            raise self.error(
+                i, f"expected {value!r}, found {val or 'end of input'!r}")
+        return i + 1
 
 
-def _parse_pomlit(toks: _Tokens) -> Pomset:
-    kind, val, line, col = toks.peek()
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+def _parse_pomlit(toks: _Tokens, i: int) -> Tuple[Pomset, int]:
+    """The pomset literal at token ``i`` and the index after it."""
+    kinds, values = toks.kinds, toks.values
+    val = values[i]
     if val == "pomset":
-        toks.next()
-        toks.expect("{")
+        at = i
+        i = toks.expect(i + 1, "{")
         labels = {}
         edges = []
         while True:
-            k, v, ln, cl = toks.next()
+            v = values[i]
             if v == "}":
+                i += 1
                 break
-            if k != "name":
-                raise ParseError("expected event identifier or '}'", ln, cl)
-            _, op, ln2, cl2 = toks.next()
+            if kinds[i] != "name":
+                raise toks.error(i, "expected event identifier or '}'")
+            op = values[i + 1]
             if op == ":":
-                k2, lab, ln3, cl3 = toks.next()
-                if k2 != "name":
-                    raise ParseError("expected label", ln3, cl3)
+                if kinds[i + 2] != "name":
+                    raise toks.error(i + 2, "expected label")
                 if v in labels:
-                    raise ParseError(f"duplicate event {v!r}", ln, cl)
-                labels[v] = lab
+                    raise toks.error(i, f"duplicate event {v!r}")
+                labels[v] = values[i + 2]
             elif op == "<":
-                k2, tgt, ln3, cl3 = toks.next()
-                if k2 != "name":
-                    raise ParseError("expected event identifier", ln3, cl3)
-                edges.append((v, tgt))
+                if kinds[i + 2] != "name":
+                    raise toks.error(i + 2, "expected event identifier")
+                edges.append((v, values[i + 2]))
             else:
-                raise ParseError("expected ':' or '<'", ln2, cl2)
-            if toks.peek()[1] == ";":
-                toks.next()
+                raise toks.error(i + 1, "expected ':' or '<'")
+            i += 3
+            if values[i] == ";":
+                i += 1
         if not labels:
-            raise ParseError("empty pomset literal", line, col)
+            raise toks.error(at, "empty pomset literal")
         try:
             lp = LabelledPoset(labels.keys(), edges, labels)
         except StructuralError as exc:
-            raise ParseError(str(exc), line, col) from None
-        return canonicalize(lp)
+            raise toks.error(at, str(exc)) from None
+        return canonicalize(lp), i
     if val == "{":
-        toks.next()
         labs = []
         while True:
-            k, v, ln, cl = toks.next()
-            if k != "name":
-                raise ParseError("expected label", ln, cl)
-            labs.append(v)
-            k, v, ln, cl = toks.next()
+            i += 1
+            if kinds[i] != "name":
+                raise toks.error(i, "expected label")
+            labs.append(values[i])
+            i += 1
+            v = values[i]
             if v == "}":
-                break
+                return step_of(labs), i + 1
             if v != ",":
-                raise ParseError("expected ',' or '}'", ln, cl)
-        return step_of(labs)
-    if kind == "name" and val not in _KEYWORDS and val != "0":
-        toks.next()
-        return step_of((val,))
-    toks.error("expected a pomset literal")
+                raise toks.error(i, "expected ',' or '}'")
+    if kinds[i] == "name" and val not in _KEYWORDS:
+        return singleton(val), i + 1
+    raise toks.unexpected(i, "expected a pomset literal")
 
 
-def _parse_atom(toks: _Tokens) -> SyncTree:
-    kind, val, line, col = toks.peek()
-    if val == "0":
-        toks.next()
-        return SyncTree((), False)
-    if val == "W":
-        toks.next()
-        return SyncTree((), True)
-    if val == "(":
-        toks.next()
-        t = _parse_term(toks)
-        toks.expect(")")
-        return t
-    toks.error("expected '0', 'W' or a parenthesized term")
+def _parse_term(toks: _Tokens, i: int) -> Tuple[SyncTree, int]:
+    """The term at token ``i`` and the index after it.
 
-
-def _parse_term(toks: _Tokens) -> SyncTree:
-    kind, val, _, _ = toks.peek()
-    if val == "0":
-        toks.next()
-        return SyncTree((), False)
-    if val == "W":
-        toks.next()
-        div = True
-        summands = []
-    else:
-        div = False
-        summands = []
-        while True:
-            pom = _parse_pomlit(toks)
-            toks.expect(":")
-            child = _parse_atom(toks)
-            summands.append((pom, child))
-            if toks.peek()[1] != "+":
+    One loop reads one summand per pass.  A summand whose child is a
+    parenthesized term pushes a frame ``(summands, divergent, prefix
+    awaiting its child)`` and starts the inner term; when a term ends,
+    its tree becomes the child of the innermost frame, whose sum then
+    continues after the ``)``.
+    """
+    values = toks.values
+    frames = []
+    summands = []
+    divergent = False
+    start = True  # at the start of a term, where "0" is the whole term
+    while True:
+        val = values[i]
+        if start and val == "0":
+            i += 1
+            tree = NIL
+        else:
+            if val == "W":
+                i += 1
+                divergent = True
+            else:
+                pom, i = _parse_pomlit(toks, i)
+                i = toks.expect(i, ":")
+                val = values[i]
+                i += 1
+                if val == "(":
+                    frames.append((summands, divergent, pom))
+                    summands = []
+                    divergent = False
+                    start = True
+                    continue
+                if val == "0":
+                    summands.append((pom, NIL))
+                elif val == "W":
+                    summands.append((pom, OMEGA))
+                else:
+                    raise toks.unexpected(
+                        i - 1, "expected '0', 'W' or a parenthesized term")
+            if values[i] == "+":
+                i += 1
+                start = False
+                continue
+            tree = SyncTree(summands, divergent)
+        # the term is whole: it closes each frame whose ")" follows it
+        while frames:
+            i = toks.expect(i, ")")
+            summands, divergent, pom = frames.pop()
+            summands.append((pom, tree))
+            if values[i] == "+":
+                i += 1
                 break
-            toks.next()
-            if toks.peek()[1] == "W":
-                toks.next()
-                div = True
-                break
-    while toks.peek()[1] == "+":  # lenient: further summands after W
-        toks.next()
-        if toks.peek()[1] == "W":
-            toks.next()
-            div = True
-            continue
-        pom = _parse_pomlit(toks)
-        toks.expect(":")
-        summands.append((pom, _parse_atom(toks)))
-    return SyncTree(summands, div)
+            tree = SyncTree(summands, divergent)
+        else:
+            return tree, i
+        start = False
 
 
 def parse(text: str) -> Dict[str, SyncTree]:
     """Parse a process file into a name -> tree table."""
     toks = _Tokens(text)
+    kinds, values = toks.kinds, toks.values
     table: Dict[str, SyncTree] = {}
-    while toks.peek()[0] != "eof":
-        kind, val, line, col = toks.next()
-        if val != "proc":
-            raise ParseError("expected 'proc'", line, col)
-        k, name, ln, cl = toks.next()
-        if k != "name" or name in _KEYWORDS:
-            raise ParseError("expected process name", ln, cl)
+    i = 0
+    while kinds[i] != "eof":
+        if values[i] != "proc":
+            raise toks.error(i, "expected 'proc'")
+        name = values[i + 1]
+        if kinds[i + 1] != "name" or name in _KEYWORDS:
+            raise toks.error(i + 1, "expected process name")
         if name in table:
-            raise ParseError(f"duplicate proc name {name!r}", ln, cl)
-        toks.expect("=")
-        table[name] = _parse_term(toks)
+            raise toks.error(i + 1, f"duplicate proc name {name!r}")
+        table[name], i = _parse_term(toks, toks.expect(i + 2, "="))
     if not table:
         raise ParseError("empty process file", 1, 1)
     return table
@@ -217,18 +248,18 @@ def parse(text: str) -> Dict[str, SyncTree]:
 def parse_term(text: str) -> SyncTree:
     """Parse a single term (no ``proc`` declaration)."""
     toks = _Tokens(text)
-    t = _parse_term(toks)
-    if toks.peek()[0] != "eof":
-        toks.error("trailing input after term")
+    t, i = _parse_term(toks, 0)
+    if toks.kinds[i] != "eof":
+        raise toks.unexpected(i, "trailing input after term")
     return t
 
 
 def parse_pomset(text: str) -> Pomset:
     """Parse a single pomset literal."""
     toks = _Tokens(text)
-    p = _parse_pomlit(toks)
-    if toks.peek()[0] != "eof":
-        toks.error("trailing input after pomset literal")
+    p, i = _parse_pomlit(toks, 0)
+    if toks.kinds[i] != "eof":
+        raise toks.unexpected(i, "trailing input after pomset literal")
     return p
 
 

@@ -22,6 +22,12 @@ class SyncTree:
     syntactically preserved).  ``size`` (node count), ``depth`` (longest
     prefix path) and ``event_count`` (pomset events along all paths, the
     compile size) are summed from the children's fields.
+
+    The hash is taken over the prefix pomsets and the children's hashes,
+    not over the nested ``sort_key``, so building a node costs time in
+    its own summands only and a chain is built in time linear in its
+    depth.  Equal trees have equal sort keys, hence equal prefixes and
+    equal children in the same order, hence equal hashes.
     """
 
     __slots__ = ("_summands", "_divergent", "_key", "_hash",
@@ -30,29 +36,35 @@ class SyncTree:
     def __init__(self, summands: Iterable[Tuple[Pomset, "SyncTree"]] = (),
                  divergent: bool = False):
         summands = tuple(summands)
+        size, depth, event_count = 1, 0, 0
         for prefix, child in summands:
-            if len(prefix) == 0:
+            n = len(prefix)
+            if n == 0:
                 raise StructuralError("empty pomset prefixes are not allowed")
             if not isinstance(child, SyncTree):
                 raise StructuralError("summand child must be a SyncTree")
-        summands = tuple(
-            sorted(summands, key=lambda s: (s[0].sort_key, s[1].sort_key))
-        )
+            size += child.size
+            if child.depth >= depth:
+                depth = child.depth + 1
+            event_count += n + child.event_count
+        if len(summands) > 1:
+            summands = tuple(
+                sorted(summands, key=lambda s: (s[0].sort_key, s[1].sort_key))
+            )
+        divergent = bool(divergent)
         object.__setattr__(self, "_summands", summands)
-        object.__setattr__(self, "_divergent", bool(divergent))
-        key = (
-            self._divergent,
-            tuple((p.sort_key, c.sort_key) for p, c in summands),
-        )
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "size", 1 + sum(c.size for _, c in summands))
-        object.__setattr__(
-            self, "depth", max((1 + c.depth for _, c in summands), default=0)
-        )
-        object.__setattr__(
-            self, "event_count", sum(len(p) + c.event_count for p, c in summands)
-        )
+        object.__setattr__(self, "_divergent", divergent)
+        object.__setattr__(self, "_key", (
+            divergent,
+            tuple([(p.sort_key, c._key) for p, c in summands]),
+        ))
+        object.__setattr__(self, "_hash", hash((
+            divergent,
+            tuple([(p, c._hash) for p, c in summands]),
+        )))
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "event_count", event_count)
 
     def __setattr__(self, name, value):
         raise AttributeError("SyncTree is immutable")

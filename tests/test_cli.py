@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import pomcheck
+from pomcheck import grammar
 from pomcheck import prebisim as pb
 from pomcheck import testgen
 from pomcheck.cli import (
@@ -267,16 +268,38 @@ class TestInputErrors:
         assert code == EXIT_INPUT
 
     def test_deeply_nested_input(self, tmp_path, capsys):
+        # the parser keeps open parentheses on a stack, not the call stack
         text = "a:0"
         for _ in range(1199):
             text = f"a:({text})"
         deep = tmp_path / "deep.pom"
         deep.write_text(f"proc P = {text}\n", encoding="utf-8")
-        code, _, err = run(capsys, "check", "--left", "P", "--right", "P",
-                           "--rel", "step", str(deep))
+        code, out, err = run(capsys, "check", "--left", "P", "--right", "P",
+                             "--rel", "step", str(deep))
+        assert code == EXIT_RELATED
+        assert err == ""
+        assert out == "P and P: related (step)\n"
+
+    def test_recursion_error_is_an_input_error(self, procfile, capsys,
+                                               monkeypatch):
+        def too_deep(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(grammar, "parse", too_deep)
+        code, out, err = run(capsys, "check", "--left", "P", "--right", "P",
+                             "--rel", "step", procfile)
         assert code == EXIT_INPUT
-        assert "Traceback" not in err
+        assert out == ""
         assert err == "error: input nested too deeply\n"
+
+    def test_end_of_input_error_names_its_position(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pom"
+        bad.write_text("proc P = a:", encoding="utf-8")
+        code, _, err = run(capsys, "check", "--left", "P", "--right", "P",
+                           "--rel", "step", str(bad))
+        assert code == EXIT_INPUT
+        assert err == ("error: 1:12: expected '0', 'W' or a parenthesized "
+                       "term\n")
 
     def test_syntax_error_in_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pom"

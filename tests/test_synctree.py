@@ -1,12 +1,14 @@
 """Synchronization tree structure and queries."""
 
-import sys
+import random
 
 import pytest
 
+from conftest import chain_tree, tree_corpus
+
 from pomcheck.equiv import RelationKind, bisim
 from pomcheck.errors import StructuralError
-from pomcheck.grammar import format_tree, parse_term
+from pomcheck.grammar import format_pomset, format_tree, parse_term
 from pomcheck.pomset import EMPTY_POMSET, chain_of, singleton, step_of
 from pomcheck.synctree import (
     NIL,
@@ -105,13 +107,7 @@ def test_deep_chain_subtrees_bisim_and_format():
     assert bisim(t, t, RelationKind.STEP).related
     text = format_tree(t)
     assert text == "a:(" * 2999 + "a:0" + ")" * 2999
-    # the parser still recurses once per nesting level
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 3 * 3000)
-    try:
-        back = parse_term(text)
-    finally:
-        sys.setrecursionlimit(limit)
+    back = parse_term(text)  # at the default recursion limit
     assert back is not t
     assert back == t and hash(back) == hash(t)
     assert back != prefix(A, t) and back != OMEGA
@@ -125,3 +121,51 @@ def test_equality_compares_each_level():
     assert ab != SyncTree([(A, prefix(B))])
     assert ab.with_omega() != ab
     assert (ab == "ab") is False
+
+
+def _format_shuffled(t, rng):
+    """``t`` as text, with summands and step labels in random order."""
+    parts = []
+    for pom, child in t.summands:
+        labels = list(pom.label_multiset())
+        rng.shuffle(labels)
+        if not pom.is_step():
+            head = format_pomset(pom)
+        elif len(labels) == 1:
+            head = labels[0]
+        else:
+            head = "{" + ",".join(labels) + "}"
+        body = _format_shuffled(child, rng)
+        parts.append(f"{head}:({body})" if child.summands else f"{head}:{body}")
+    if t.divergent:
+        parts.append("W")
+    rng.shuffle(parts)
+    return " + ".join(parts) or "0"
+
+
+def test_hash_contract_on_random_trees():
+    # equal trees hash equally however their summands were written
+    rng = random.Random("hash-contract")
+    trees = tree_corpus("hash-contract", 150, 10, 12, ("a", "b", "c"))
+    for t in trees:
+        for text in (format_tree(t), _format_shuffled(t, rng),
+                     _format_shuffled(t, rng)):
+            back = parse_term(text)
+            assert back == t and hash(back) == hash(t), text
+    texts = [format_tree(t) for t in trees]
+    for t, s in zip(trees, texts):
+        for u, v in zip(trees, texts):
+            assert (t == u) == (s == v)
+
+
+def test_hash_contract_on_a_very_deep_chain():
+    t = chain_tree(20000)
+    u = chain_tree(20000)
+    assert t is not u
+    assert hash(t) == hash(u) and t == u
+    assert t != chain_tree(19999) and t != prefix(A, t)
+    text = format_tree(t)
+    assert text.count("(") == 19999
+    back = parse_term(text)
+    assert back == t and hash(back) == hash(t)
+    assert back.depth == 20000 and back.size == 20001
