@@ -174,7 +174,9 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     structure holding the position of its image in the right structure
     plus one, so interning a node hashes three ints.  ``fwd[n]`` lists,
     for each action extension of C, its label and the nodes that match
-    it; ``bwd[n]`` does the same for the extensions of D.
+    it, as the ``(labels, groups)`` pair that :func:`demand` reads (the
+    labels are shared by every node at C); ``bwd[n]`` does the same for
+    the extensions of D.
     Events enabled at C or D cause nothing inside them, so ``(C, f, D)``
     extends by an equally labelled pair ``(e, g)`` of enabled events
     exactly when ``f`` maps the causes of ``e`` onto the causes of
@@ -223,13 +225,14 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     rows_at, buckets_at = {}, {}
     for c, f, d in nodes:  # grows while it is read: one pass, breadth first
         dom = doms[len(fwd)]
-        rows = rows_at.get(c)
-        if rows is None:  # C's extensions, once per pass
-            rows = rows_at[c] = [
+        at_c = rows_at.get(c)
+        if at_c is None:  # C's extensions, once per pass
+            at_c = rows_at[c] = [
                 (lab, 1 << i, width * i, cause_slots[i], c2,
                  not hereditary and rel1[c2].bit_count() <= rel1[c].bit_count())
                 for lab, i, c2 in graph1[c]
-            ]
+            ], tuple([lab for lab, _, _ in graph1[c]])
+        rows, labels1 = at_c
         at_d = buckets_at.get(d)
         if at_d is None:  # D's extensions by label and cause mask, once
             edges = graph2[d]
@@ -238,10 +241,10 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                 buckets.setdefault((lab, causes2[j]), []).append(
                     (k, j + 1, d2, not hereditary
                      and rel2[d2].bit_count() <= rel2[d].bit_count()))
-            at_d = buckets_at[d] = buckets, [lab for lab, _, _ in edges]
-        buckets, labels = at_d
-        back = [[] for _ in labels]
-        obligations = []
+            at_d = buckets_at[d] = buckets, tuple([lab for lab, _, _ in edges])
+        buckets, labels2 = at_d
+        back = [[] for _ in labels2]
+        groups = []
         for lab, bit, at, slots, c2, shrinks1 in rows:
             m = 0
             for s in slots:  # the images of e's causes
@@ -268,9 +271,9 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                     doms.append(dom2)
                 cands.append(t)
                 back[k].append(t)
-            obligations.append((lab, tuple(cands)))
-        fwd.append(tuple(obligations))
-        bwd.append(tuple(zip(labels, map(tuple, back))))
+            groups.append(tuple(cands))
+        fwd.append((labels1, tuple(groups)))
+        bwd.append((labels2, tuple(map(tuple, back))))
     return nodes, fwd, bwd
 
 
@@ -297,12 +300,12 @@ def _triple_tables(es1: PrimeEventStructure, es2: PrimeEventStructure):
 
     def keyed(table):
         return {t: tuple((lab, tuple([triples[x] for x in cands]))
-                         for lab, cands in obligations)
+                         for lab, cands in zip(*obligations))
                 for t, obligations in zip(triples, table)}
 
     subs = {t: [] for t in triples}
-    for t, obligations in zip(triples, fwd):
-        for _, cands in obligations:
+    for t, (_, groups) in zip(triples, fwd):
+        for cands in groups:
             for x in cands:
                 subs[triples[x]].append(t)
     return keyed(fwd), keyed(bwd), subs
@@ -343,29 +346,40 @@ def triple_transitions(es1: PrimeEventStructure, es2: PrimeEventStructure):
 def demand(fwd, bwd, left_div, right_div, restriction, pre):
     """What the functional asks of one node, whatever the relation.
 
-    ``fwd`` and ``bwd`` list the node's transfer obligations as
-    ``(label, candidate nodes)``: one per transition of the left
-    (right) state, naming the nodes that would match it.  The result is
-    the candidate groups that must each keep a member in the relation,
-    or ``None`` when the node fails outright.  Bisimulation (``pre``
-    false) asks for both directions.  Prebisimulation asks for the
-    backward direction, a convergent right state and right initials
-    inside ``restriction`` only when the left state converges and its
-    initials lie inside ``restriction``.  A restriction (``None`` for
-    none) drops the obligations labelled outside it.
+    ``fwd`` and ``bwd`` list the node's transfer obligations as a pair
+    ``(labels, groups)`` of parallel sequences: one obligation per
+    transition of the left (right) state, its label and the candidate
+    nodes that would match it.  The result is the candidate groups that
+    must each keep a member in the relation, or ``None`` when the node
+    fails outright.  Bisimulation (``pre`` false) asks for both
+    directions.  Prebisimulation asks for the backward direction, a
+    convergent right state and right initials inside ``restriction``
+    only when the left state converges and its initials lie inside
+    ``restriction``.  A restriction (``None`` for none) drops the
+    obligations labelled outside it; without one the labels are not read
+    and the groups are not copied.
     """
 
     def allowed(obligations):
-        return [cands for lab, cands in obligations
-                if restriction is None or lab in restriction]
+        labels, groups = obligations
+        if restriction is None:
+            return groups
+        return [cands for lab, cands in zip(labels, groups)
+                if lab in restriction]
 
     groups = allowed(fwd)
     if pre:
-        if left_div or len(groups) < len(fwd):
+        if left_div or len(groups) < len(fwd[1]):
             return groups
         back = allowed(bwd)
-        return None if right_div or len(back) < len(bwd) else groups + back
+        return None if right_div or len(back) < len(bwd[1]) else groups + back
     return groups + allowed(bwd)
+
+
+def split(obligations):
+    """``(label, candidates)`` obligations as the ``(labels, groups)``
+    pair that :func:`demand` reads."""
+    return tuple(zip(*obligations)) or ((), ())
 
 
 def holds(groups, relation) -> bool:
@@ -373,19 +387,6 @@ def holds(groups, relation) -> bool:
     return groups is not None and all(
         any(c in relation for c in cands) for cands in groups
     )
-
-
-def pair_transfers(gx, gy):
-    """The transfer obligations of a state pair.
-
-    ``gx`` and ``gy`` map each label to the successors of the left and
-    right state under it; candidates are successor pairs.
-    """
-    fwd = [(u, [(x2, y2) for y2 in gy.get(u, ())])
-           for u, xs in gx.items() for x2 in xs]
-    bwd = [(v, [(x2, y2) for x2 in gx.get(v, ())])
-           for v, ys in gy.items() for y2 in ys]
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,11 @@ def _interned(state, step_only, pids):
 def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
     """Rounds over the matched-label pair product reachable from (p, q).
 
-    With ``everywhere`` the whole pair product is explored instead.
+    A pair ``(x, y)`` of interned states is keyed by ``x * ny + y``.
+    For each label the pair's successors form a matrix, one row per
+    ``x``-successor and one column per ``y``-successor: the rows are
+    its forward obligations and the columns its backward ones.  With
+    ``everywhere`` the whole pair product is explored instead.
     """
     pids = {}
     gx, dx, xr = _interned(p, step_only, pids)
@@ -509,31 +514,44 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
     pomsets = list(pids)
     if restriction is not None:
         restriction = {pids[u] for u in restriction if u in pids}
+    ny = len(gy)
     if everywhere:
-        pairs = [(x, y) for x in range(len(gx)) for y in range(len(gy))]
+        pairs = list(range(len(gx) * ny))
     else:
-        pairs = [(xr, yr)]
+        pairs = [xr * ny + yr]
     index = {xy: i for i, xy in enumerate(pairs)}
-    root = index[(xr, yr)]
-
-    def node(xy):
-        i = index.get(xy)
-        if i is None:
-            i = index[xy] = len(pairs)
-            pairs.append(xy)
-        return i
-
+    root = index[xr * ny + yr]
     demands = {}
-    i = 0
-    while i < len(pairs):
-        x, y = pairs[i]
-        fwd, bwd = pair_transfers(gx[x], gy[y])
-        fwd = [(u, [node(c) for c in cands]) for u, cands in fwd]
-        bwd = [(v, [node(c) for c in cands]) for v, cands in bwd]
-        demands[i] = demand(fwd, bwd, dx[x], dy[y], restriction, pre)
+    for i, xy in enumerate(pairs):  # grows while it is read
+        x, y = divmod(xy, ny)
+        here = gy[y]
+        matrices = {}
+        flabs, fwd, blabs, bwd = [], [], [], []
+        for u, xs in gx[x].items():
+            ys = here.get(u, ())
+            rows = []
+            for x2 in xs:
+                row = []
+                base = x2 * ny
+                for y2 in ys:
+                    key = base + y2
+                    n = index.get(key)
+                    if n is None:
+                        n = index[key] = len(pairs)
+                        pairs.append(key)
+                    row.append(n)
+                rows.append(row)
+            matrices[u] = rows
+            fwd += rows
+            flabs += [u] * len(rows)
+        for v, ys in here.items():
+            rows = matrices.get(v)
+            bwd += zip(*rows) if rows else [()] * len(ys)
+            blabs += [v] * len(ys)
+        demands[i] = demand((flabs, fwd), (blabs, bwd), dx[x], dy[y],
+                            restriction, pre)
         if i == root:
-            root_fwd, root_bwd = fwd, bwd
-        i += 1
+            root_fwd, root_bwd = zip(flabs, fwd), zip(blabs, bwd)
 
     def labelled(obligations):
         out = [(pomsets[u], tuple(cands)) for u, cands in obligations]
@@ -551,7 +569,8 @@ def triple_demands(fwd, bwd, es1, es2, acts, pre) -> dict:
     """
     div1, div2 = es1.divergent_configs, es2.divergent_configs
     return {
-        t: demand(fw, bwd[t], t[0] in div1, t[2] in div2, acts, pre)
+        t: demand(split(fw), split(bwd[t]), t[0] in div1, t[2] in div2,
+                  acts, pre)
         for t, fw in fwd.items()
     }
 
@@ -572,11 +591,15 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
         n: demand(fw, bw, c in div1, d in div2, acts, pre)
         for n, ((c, _, d), fw, bw) in enumerate(zip(nodes, fwd, bwd))
     }
+    extensions = None
+    if hereditary:
+        extensions = [tuple(zip(*obligations)) for obligations in fwd]
 
     def labelled(obligations):
-        return tuple((singleton(lab), cands) for lab, cands in obligations)
+        return tuple((singleton(lab), cands)
+                     for lab, cands in zip(*obligations))
 
-    return Ranks(_rounds(demands, fwd if hereditary else None), 0,
+    return Ranks(_rounds(demands, extensions), 0,
                  labelled(fwd[0]), labelled(bwd[0]), len(demands))
 
 

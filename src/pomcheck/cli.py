@@ -261,6 +261,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc} (this is a bug)",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

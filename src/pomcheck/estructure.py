@@ -5,21 +5,29 @@ posets, pomset/step/action transitions and the divergence predicate are
 all evaluated here.  Structures are immutable after compilation; derived
 tables are memoized write-once on the structure (:func:`derived_table`).
 
-Configurations are grown once per structure as bitmasks, an event's bit
-being its position in ``es.events``.  :func:`_event_masks` holds each
-event's label and its cause, conflict and "above" masks;
+A structure has one representation: :class:`EventMasks`, an event's
+bit being its position in ``es.events``.  Each event carries its label
+and the masks of its causes, its conflicts, the events above it and the
+events it causes immediately.  :func:`compile_tree` writes these masks
+straight from the tree in one pass; a structure built by hand from sets
+converts them once.  The set views ``causes``, ``conflicts`` and
+``divergent_configs`` are built only when something reads them (the
+history posets and the test oracles).
+
 :func:`_config_graph` maps each configuration mask to its one-event
 extensions, grown from the empty configuration, with each
 configuration's enabled events derived from its parent's: adding ``e``
-drops ``e`` and its conflicts, and enables the events above ``e`` whose
-causes are then all present and which conflict with none of them.
-:func:`configurations` and the action and step tables read this graph,
-building each configuration's event set once, when one of them is first
-asked for; the posetal product reads the masks directly.
+drops ``e`` and its conflicts, and enables the events ``e`` causes
+immediately whose causes are then all present and which conflict with
+none of them.  :func:`configurations` and the action and step tables
+read this graph, building each configuration's event set once, when one
+of them is first asked for; the posetal product reads the masks
+directly.
 
 Each kind builds only the transition table it reads.  The step table
 takes the conflict-free sets of each configuration's enabled events; the
-pomset table lists every strict extension and canonicalizes each
+pomset table lists every strict extension ``c < d`` of masks and codes
+each residual ``d ^ c`` from the cause masks once, canonicalizing each
 residual shape once per build; the action table is the graph's edges.
 """
 
@@ -37,14 +45,47 @@ Config = FrozenSet[int]
 EMPTY_CONFIG: Config = frozenset()
 
 
+class EventMasks(NamedTuple):
+    """A structure's events as bitmasks over their positions.
+
+    Entry ``i`` of ``labels``, ``causes``, ``conflicts``, ``above`` and
+    ``succ`` describes ``es.events[i]``: its label, and the masks of its
+    causes, of the events in conflict with it, of the events it causes
+    and of the events it causes immediately (with no event in between).
+    ``divergent`` holds the divergent configurations as masks.
+    """
+
+    labels: tuple
+    causes: tuple
+    conflicts: tuple
+    above: tuple
+    succ: tuple
+    divergent: frozenset
+
+
+def _positions(m: int) -> list:
+    """The positions of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        bit = m & -m
+        m ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
+
+
 class PrimeEventStructure:
     """Finite prime event structure with a divergence predicate.
 
-    ``causes[e]`` is the full set of strict predecessors of ``e`` (the
-    causality order, transitively closed); ``conflicts[e]`` the events in
-    conflict with ``e`` (symmetric, irreflexive, hereditary).  Divergence
-    is carried as an explicit set of configurations so alternative
-    propagation policies stay testable.
+    The structure is held as :class:`EventMasks` alone, an event's bit
+    being its position in ``events``.  ``causes[e]`` is the full set of
+    strict predecessors of ``e`` (the causality order, transitively
+    closed); ``conflicts[e]`` the events in conflict with ``e``
+    (symmetric, irreflexive, hereditary).  Divergence is carried as an
+    explicit set of configurations so alternative propagation policies
+    stay testable.  ``causes``, ``conflicts`` and ``divergent_configs``
+    are read-only set views of the masks, built when first read and kept
+    in ``derived``; a structure built from sets converts them to masks
+    once.
 
     Identity semantics for equality/hashing: two separately compiled
     structures are distinct states spaces even if isomorphic.  ``tree``
@@ -52,30 +93,72 @@ class PrimeEventStructure:
     (:func:`compile_tree` sets it; ``None`` for one built directly).
     """
 
-    __slots__ = ("events", "labels", "causes", "conflicts",
-                 "divergent_configs", "derived", "tree", "__weakref__")
+    __slots__ = ("events", "labels", "_masks", "derived", "tree",
+                 "__weakref__")
 
     def __init__(self, events, labels, causes, conflicts, divergent_configs):
-        object.__setattr__(self, "events", tuple(sorted(events)))
-        object.__setattr__(self, "labels", dict(labels))
-        object.__setattr__(
-            self, "causes", {e: frozenset(causes.get(e, ())) for e in events}
-        )
-        object.__setattr__(
-            self, "conflicts", {e: frozenset(conflicts.get(e, ())) for e in events}
-        )
-        object.__setattr__(self, "divergent_configs", frozenset(divergent_configs))
+        events = tuple(sorted(events))
+        bits = {e: 1 << i for i, e in enumerate(events)}
+
+        def mask(group):
+            m = 0
+            for e in group:
+                m |= bits[e]
+            return m
+
+        cause = [mask(causes.get(e, ())) for e in events]
+        above, succ = [0] * len(events), [0] * len(events)
+        for i, m in enumerate(cause):
+            bit, direct = 1 << i, m
+            for j in _positions(m):
+                above[j] |= bit
+                direct &= ~cause[j]
+            for j in _positions(direct):
+                succ[j] |= bit
+        labels = dict(labels)
+        masks = EventMasks(
+            tuple([labels[e] for e in events]), tuple(cause),
+            tuple([mask(conflicts.get(e, ())) for e in events]),
+            tuple(above), tuple(succ),
+            frozenset(map(mask, divergent_configs)))
+        self._fill(events, labels, masks)
+
+    @classmethod
+    def _of_masks(cls, masks: EventMasks) -> "PrimeEventStructure":
+        """The structure on events ``0..n-1`` given by ``masks``."""
+        es = object.__new__(cls)
+        es._fill(tuple(range(len(masks.labels))), dict(enumerate(masks.labels)),
+                 masks)
+        return es
+
+    def _fill(self, events, labels, masks):
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "derived", {})
         object.__setattr__(self, "tree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeEventStructure is immutable")
 
+    @property
+    def causes(self) -> Dict[int, frozenset]:
+        return _cause_sets(self)
+
+    @property
+    def conflicts(self) -> Dict[int, frozenset]:
+        return _conflict_sets(self)
+
+    @property
+    def divergent_configs(self) -> frozenset:
+        return _divergent_sets(self)
+
     def history(self, events: Config) -> LabelledPoset:
         """Causality restricted to ``events``, with labels."""
+        causes = self.causes
         return LabelledPoset(
             events,
-            ((c, e) for e in events for c in self.causes[e] if c in events),
+            ((c, e) for e in events for c in causes[e] if c in events),
             {e: self.labels[e] for e in events},
         )
 
@@ -118,6 +201,20 @@ class ProcessState:
         return f"ProcessState({set(self.config) or '{}'})"
 
 
+def _name_offsets(k: int):
+    """Offset of each canonical event ``e{i}`` of a ``k``-event prefix.
+
+    A prefix's events are numbered in the string order of their
+    canonical names (``e0, e1, e10, e11, e2, ...``).
+    """
+    if k <= 10:
+        return range(k)
+    offsets = [0] * k
+    for o, i in enumerate(sorted(range(k), key=str)):
+        offsets[i] = o
+    return offsets
+
+
 def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
     """Compile a synchronization tree into an event structure.
 
@@ -125,54 +222,82 @@ def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
     a prefix causally precedes its entire subtree; distinct summands of a
     node are in (hereditary) conflict cone-against-cone.  A configuration
     is divergent exactly when it is the full event set of a root path
-    ending in a node whose divergence flag is set.  Events are numbered
-    depth first, summand by summand; the walk keeps an explicit stack, so
-    tree depth is not bounded by the recursion limit.
+    ending in a node whose divergence flag is set.
+
+    Events are numbered depth first, summand by summand, so the cone of
+    every node and of every summand is a contiguous range of positions,
+    whose length ``SyncTree.event_count`` gives.  Each event's masks are
+    written once, in one walk on an explicit stack (tree depth is not
+    bounded by the recursion limit): its causes are those of its node
+    plus its prefix-internal causes; a summand's conflict mask is its
+    parent summand's plus its node's cone minus its own cone, one int
+    shared by every event of the summand; and a prefix's maximal events
+    cause immediately the minimal events of the summands below them.
     """
-    labels: Dict[int, str] = {}
-    causes: Dict[int, set] = {}
-    conflicts: Dict[int, set] = {}
+    n = t.event_count
+    labels = [""] * n
+    causes, conflicts = [0] * n, [0] * n
+    above, succ = [0] * n, [0] * n
     divergent = set()
-    counter = 0
-    # frame: [node, its ancestor events, finished summand cones,
-    #         prefix events of the summand being built (or None)]
-    stack = [[t, EMPTY_CONFIG, [], None]]
-    if t.divergent:
-        divergent.add(EMPTY_CONFIG)
-    done = EMPTY_CONFIG  # the cone of the frame popped last
+    # frame: node, its first position, the mask of the events below it,
+    #        the conflict mask of its summand, the maximal prefix events
+    #        above it
+    stack = [(t, 0, 0, 0, ())]
     while stack:
-        frame = stack[-1]
-        node, ancestors, cones, pending = frame
-        if pending is not None:
-            cones.append(pending | done)
-            frame[3] = None
-        if len(cones) < len(node.summands):
-            pom, child = node.summands[len(cones)]
-            lp = pom.canon
-            fresh = {}
-            for name in sorted(lp.events):
-                fresh[name] = counter
-                labels[counter] = lp.label(name)
-                causes[counter] = set(ancestors)
-                conflicts[counter] = set()
-                counter += 1
-            for a, b in lp.order:
-                causes[fresh[b]].add(fresh[a])
-            prefix_events = frame[3] = frozenset(fresh.values())
-            inner = ancestors | prefix_events
-            if child.divergent:
-                divergent.add(inner)
-            stack.append([child, inner, [], None])
-            continue
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                for e in cones[i]:
-                    for f in cones[j]:
-                        conflicts[e].add(f)
-                        conflicts[f].add(e)
-        done = frozenset().union(*cones)
-        stack.pop()
-    es = PrimeEventStructure(range(counter), labels, causes, conflicts, divergent)
+        node, start, below, clash, tops = stack.pop()
+        if node.divergent:
+            divergent.add(below)
+        summands = node.summands
+        siblings = len(summands) > 1
+        if siblings:
+            cone = ((1 << node.event_count) - 1) << start
+        first = 0  # the minimal events of the node's prefixes
+        for pom, child in summands:
+            labs, pairs = pom.key
+            k = len(labs)
+            inner = start + k
+            size = k + child.event_count
+            if siblings:
+                own = clash | cone ^ (((1 << size) - 1) << start)
+            else:
+                own = clash
+            sub = ((1 << child.event_count) - 1) << inner
+            conflicts[start:inner] = [own] * k
+            offsets = _name_offsets(k)
+            for i, lab in enumerate(labs):
+                labels[start + offsets[i]] = lab
+            if not pairs:
+                causes[start:inner] = [below] * k
+                above[start:inner] = [sub] * k
+                first |= ((1 << k) - 1) << start
+                maxima = range(start, inner)
+            else:
+                low, high = [0] * k, [0] * k
+                for a, b in pairs:
+                    low[offsets[b]] |= 1 << offsets[a]
+                    high[offsets[a]] |= 1 << offsets[b]
+                maxima = []
+                for o in range(k):
+                    e = start + o
+                    causes[e] = below | low[o] << start
+                    above[e] = sub | high[o] << start
+                    if not low[o]:
+                        first |= 1 << e
+                    if high[o]:
+                        direct = high[o]
+                        for j in _positions(high[o]):
+                            direct &= ~high[j]
+                        succ[e] = direct << start
+                    else:
+                        maxima.append(e)
+            stack.append((child, inner, below | ((1 << k) - 1) << start, own,
+                          maxima))
+            start += size
+        for m in tops:
+            succ[m] = first
+    es = PrimeEventStructure._of_masks(EventMasks(
+        tuple(labels), tuple(causes), tuple(conflicts), tuple(above),
+        tuple(succ), frozenset(divergent)))
     object.__setattr__(es, "tree", t)
     return es, ProcessState(es, EMPTY_CONFIG)
 
@@ -182,49 +307,32 @@ def compiled(t: SyncTree) -> ProcessState:
     return compile_tree(t)[1]
 
 
-class EventMasks(NamedTuple):
-    """A structure's events as bitmasks over their positions.
+def _event_masks(es: PrimeEventStructure) -> EventMasks:
+    """The per-event masks of ``es``; an event's bit is its position."""
+    return es._masks
 
-    Entry ``i`` of ``labels``, ``causes``, ``conflicts`` and ``above``
-    describes ``es.events[i]``: its label, and the masks of its causes,
-    of the events in conflict with it and of the events it causes.
-    ``divergent`` holds the divergent configurations as masks.
-    """
 
-    labels: tuple
-    causes: tuple
-    conflicts: tuple
-    above: tuple
-    divergent: frozenset
+def _sets_of(es: PrimeEventStructure, masks) -> dict:
+    events = es.events
+    return {e: frozenset([events[i] for i in _positions(m)])
+            for e, m in zip(events, masks)}
 
 
 @derived_table
-def _event_masks(es: PrimeEventStructure) -> EventMasks:
-    """The per-event masks of ``es``; an event's bit is its position."""
+def _cause_sets(es: PrimeEventStructure) -> dict:
+    return _sets_of(es, es._masks.causes)
+
+
+@derived_table
+def _conflict_sets(es: PrimeEventStructure) -> dict:
+    return _sets_of(es, es._masks.conflicts)
+
+
+@derived_table
+def _divergent_sets(es: PrimeEventStructure) -> frozenset:
     events = es.events
-    bits = {e: 1 << i for i, e in enumerate(events)}
-    above = dict.fromkeys(events, 0)
-    causes, conflicts = [], []
-    for e in events:
-        b = bits[e]
-        m = 0
-        for a in es.causes[e]:
-            m |= bits[a]
-            above[a] |= b
-        causes.append(m)
-        m = 0
-        for x in es.conflicts[e]:
-            m |= bits[x]
-        conflicts.append(m)
-    divergent = []
-    for c in es.divergent_configs:
-        m = 0
-        for e in c:
-            m |= bits[e]
-        divergent.append(m)
-    return EventMasks(tuple([es.labels[e] for e in events]), tuple(causes),
-                      tuple(conflicts), tuple(above.values()),
-                      frozenset(divergent))
+    return frozenset(frozenset([events[i] for i in _positions(m)])
+                     for m in es._masks.divergent)
 
 
 @derived_table
@@ -235,12 +343,14 @@ def _config_graph(es: PrimeEventStructure) -> dict:
     in ascending order.  A configuration's enabled events are derived
     from those of the configuration it was first reached from: adding
     ``e`` drops ``e`` and the events in conflict with it, and enables
-    each event above ``e`` whose causes are now all present and which
-    conflicts with none of them.  No other event can become enabled: one
-    that was not enabled before still misses a cause or still conflicts
-    with the configuration.
+    each event that ``e`` causes immediately whose causes are now all
+    present and which conflicts with none of them.  No other event can
+    become enabled: one that was not enabled before still misses a cause
+    or still conflicts with the configuration; and an event above ``e``
+    that ``e`` does not cause immediately still misses the events in
+    between, which lie above ``e`` too.
     """
-    labels, causes, conflicts, above, _ = _event_masks(es)
+    labels, causes, conflicts, _, succ, _ = _event_masks(es)
     first = 0
     for i, m in enumerate(causes):
         if not m:
@@ -260,7 +370,7 @@ def _config_graph(es: PrimeEventStructure) -> dict:
             d = c | bit
             if d not in enabled:
                 nxt = here & ~(bit | conflicts[i])
-                up = above[i]
+                up = succ[i]
                 while up:
                     x = up & -up
                     up ^= x
@@ -293,36 +403,52 @@ def configurations(es: PrimeEventStructure) -> frozenset:
     return frozenset(_config_sets(es).values())
 
 
+def _residual_pomset(r: int, labels, causes, shapes) -> Pomset:
+    """The pomset of the events of mask ``r``, ordered by causality.
+
+    The residual is coded by its shape: its labels and the masks of the
+    events below each, indexed in event order and read from the cause
+    masks, which are already transitively closed.  ``shapes`` maps each
+    shape met so far to its pomset, so a shape is canonicalized once.
+    """
+    positions = _positions(r)
+    labs = tuple([labels[i] for i in positions])
+    below = [causes[i] & r for i in positions]
+    if any(below):
+        local = {i: 1 << k for k, i in enumerate(positions)}
+        below = tuple([sum([local[i] for i in _positions(m)]) for m in below])
+    else:
+        below = ()
+    shape = (labs, below)
+    u = shapes.get(shape)
+    if u is None:
+        u = shapes[shape] = shape_pomset(labs, below)
+    return u
+
+
 @derived_table
 def _pomset_transition_table(es: PrimeEventStructure):
     """config -> tuple of (Pomset, target config), all strict extensions.
 
-    Each residual ``d - c`` is coded by its shape: its labels and the
-    masks of the events below each, indexed in event order and read from
-    ``es.causes``, which is already transitively closed.  A shape is
-    canonicalized the first time this table meets it.
+    Configurations are compared as masks.  A residual's pomset depends
+    on its event set ``d ^ c`` alone, so it is computed once per
+    residual mask (:func:`_residual_pomset`).
     """
-    configs = configurations(es)
-    shapes = {}
+    labels, causes = _event_masks(es)[:2]
+    sets = _config_sets(es)
+    residuals, shapes = {}, {}
     table = {}
-    for c in configs:
+    for c, cset in sets.items():
         out = []
-        for d in configs:
-            if c < d:
-                residual = sorted(d - c)
-                bit = {e: 1 << i for i, e in enumerate(residual)}
-                below = []
-                for e in residual:
-                    m = 0
-                    for x in es.causes[e].intersection(bit):
-                        m |= bit[x]
-                    below.append(m)
-                shape = (tuple(es.labels[e] for e in residual), tuple(below))
-                u = shapes.get(shape)
+        for d, dset in sets.items():
+            if d & c == c and d != c:
+                r = d ^ c
+                u = residuals.get(r)
                 if u is None:
-                    u = shapes[shape] = shape_pomset(*shape)
-                out.append((u, d))
-        table[c] = tuple(out)
+                    u = residuals[r] = _residual_pomset(r, labels, causes,
+                                                        shapes)
+                out.append((u, dset))
+        table[cset] = tuple(out)
     return table
 
 

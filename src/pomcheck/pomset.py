@@ -2,10 +2,10 @@
 
 A :class:`LabelledPoset` is a concrete finite carrier with a strict,
 transitively closed order and a total labelling.  A :class:`Pomset` is
-the isomorphism class of such a poset, represented by a canonical
-relabelling (events renamed ``e0, e1, ...`` in canonical order), so two
-pomsets compare equal exactly when their underlying posets are
-isomorphic.  Labels are plain strings.
+the isomorphism class of such a poset, represented by the key of a
+canonical relabelling (events renamed ``e0, e1, ...`` in canonical
+order), so two pomsets compare equal exactly when their underlying
+posets are isomorphic.  Labels are plain strings.
 """
 
 from __future__ import annotations
@@ -134,12 +134,19 @@ EMPTY_POSET = LabelledPoset((), (), {})
 
 
 class Pomset:
-    """Isomorphism class of labelled posets, keyed by its canonical form."""
+    """Isomorphism class of labelled posets, keyed by its canonical form.
 
-    __slots__ = ("_canon", "_key")
+    The key is ``(labels, pairs)``: the labels of the canonical events
+    ``e0, e1, ...`` in order, and the sorted index pairs ``(i, j)`` of
+    the closed order, ``e{i}`` below ``e{j}``.  Equality, hashing and
+    ordering read the key alone; its hash is taken once.  The canonical
+    :class:`LabelledPoset` is built from the key when :attr:`canon` is
+    first read.
+    """
+
+    __slots__ = ("_key", "_hash", "_canon")
 
     def __init__(self, canon: LabelledPoset, _key=None):
-        object.__setattr__(self, "_canon", canon)
         if _key is None:
             n = len(canon)
             names = [f"e{i}" for i in range(n)]
@@ -149,23 +156,50 @@ class Pomset:
                 tuple(sorted((idx[a], idx[b]) for a, b in canon.order)),
             )
         object.__setattr__(self, "_key", _key)
+        object.__setattr__(self, "_hash", hash(_key))
+        object.__setattr__(self, "_canon", canon)
+
+    @classmethod
+    def _of_key(cls, labels: tuple, pairs: tuple) -> "Pomset":
+        """The pomset with canonical key ``(labels, pairs)``; no poset is built."""
+        u = object.__new__(cls)
+        key = (labels, pairs)
+        object.__setattr__(u, "_key", key)
+        object.__setattr__(u, "_hash", hash(key))
+        object.__setattr__(u, "_canon", None)
+        return u
 
     def __setattr__(self, name, value):
         raise AttributeError("Pomset is immutable")
 
     @property
+    def key(self) -> tuple:
+        """``(labels, pairs)``: the canonical labels and closed order pairs."""
+        return self._key
+
+    @property
     def canon(self) -> LabelledPoset:
-        return self._canon
+        lp = self._canon
+        if lp is None:
+            labels, pairs = self._key
+            names = [f"e{i}" for i in range(len(labels))]
+            lp = LabelledPoset._closed(
+                names,
+                [(names[a], names[b]) for a, b in pairs],
+                zip(names, labels),
+            )
+            object.__setattr__(self, "_canon", lp)
+        return lp
 
     @property
     def sort_key(self):
-        return (len(self._canon),) + self._key
+        return (len(self._key[0]),) + self._key
 
     def __len__(self):
-        return len(self._canon)
+        return len(self._key[0])
 
     def is_step(self) -> bool:
-        return not self._canon.order
+        return not self._key[1]
 
     def label_multiset(self) -> Tuple[Label, ...]:
         return self._key[0]
@@ -173,13 +207,13 @@ class Pomset:
     def __eq__(self, other):
         if not isinstance(other, Pomset):
             return NotImplemented
-        return self._key == other._key
+        return self._hash == other._hash and self._key == other._key
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Pomset({self._key[0]}, {self._key[1]})"
@@ -200,8 +234,9 @@ def shape_pomset(labels, below) -> Pomset:
 
     Event ``i`` carries ``labels[i]``; ``below[i]`` is the bitmask of
     the events strictly below ``i``, transitively closed.  An order-free
-    shape is a step and needs no canonical-labelling search.  The
-    canonical poset and its key are read off the canonical order.
+    shape is a step and needs no canonical-labelling search.  The key is
+    read off the canonical order; the canonical poset is built only when
+    it is asked for.
     """
     if not any(below):
         return step_of(labels)
@@ -218,14 +253,7 @@ def shape_pomset(labels, below) -> Pomset:
         pos[orig] = p
     pairs = tuple(sorted([(pos[j], pos[i]) for i, js in enumerate(lower)
                           for j in js]))
-    canon_labels = tuple(labels[orig] for orig in perm)
-    names = [f"e{i}" for i in range(n)]
-    canon = LabelledPoset._closed(
-        names,
-        [(names[a], names[b]) for a, b in pairs],
-        zip(names, canon_labels),
-    )
-    return Pomset(canon, (canon_labels, pairs))
+    return Pomset._of_key(tuple(labels[orig] for orig in perm), pairs)
 
 
 def is_isomorphic(u: LabelledPoset, v: LabelledPoset) -> bool:
@@ -295,10 +323,7 @@ def step_of(labels: Iterable[Label]) -> Pomset:
     A step's canonical form lists its labels in sorted order, so no
     canonical-labelling search is needed.
     """
-    labels = tuple(sorted(labels))
-    names = [f"e{i}" for i in range(len(labels))]
-    return Pomset(LabelledPoset._closed(names, (), zip(names, labels)),
-                  (labels, ()))
+    return Pomset._of_key(tuple(sorted(labels)), ())
 
 
 EMPTY_POMSET = step_of(())

@@ -23,8 +23,8 @@ from ._engine import (
     demand,
     diverges,
     holds,
-    pair_transfers,
     ranks,
+    split,
     stable_depth,
     sub_triples,
     successors,
@@ -68,6 +68,19 @@ def _grouped(state, step_only):
     return groups
 
 
+def _transfers(gx, gy):
+    """The transfer obligations of a state pair, as :func:`demand` reads them.
+
+    ``gx`` and ``gy`` map each label to the successors of the left and
+    right state under it; candidates are successor pairs.
+    """
+    fwd = [(u, [(x2, y2) for y2 in gy.get(u, ())])
+           for u, xs in gx.items() for x2 in xs]
+    bwd = [(v, [(x2, y2) for x2 in gx.get(v, ())])
+           for v, ys in gy.items() for y2 in ys]
+    return split(fwd), split(bwd)
+
+
 def apply_F(relation, space, kind: RelationKind, restriction=None):
     """One application of the prebisimulation functional over ``space``.
 
@@ -82,7 +95,7 @@ def apply_F(relation, space, kind: RelationKind, restriction=None):
     relation = frozenset(relation)
 
     def keeps(x, y):
-        fwd, bwd = pair_transfers(_grouped(x, step_only), _grouped(y, step_only))
+        fwd, bwd = _transfers(_grouped(x, step_only), _grouped(y, step_only))
         return holds(
             demand(fwd, bwd, diverges(x), diverges(y), restriction, True),
             relation,

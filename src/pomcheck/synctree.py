@@ -8,6 +8,7 @@ empty-summand divergent tree is ``OMEGA``.  Prefix pomsets are nonempty.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Iterable, Tuple
 
 from .errors import StructuralError
@@ -48,9 +49,7 @@ class SyncTree:
                 depth = child.depth + 1
             event_count += n + child.event_count
         if len(summands) > 1:
-            summands = tuple(
-                sorted(summands, key=lambda s: (s[0].sort_key, s[1].sort_key))
-            )
+            summands = _sorted_summands(summands)
         divergent = bool(divergent)
         object.__setattr__(self, "_summands", summands)
         object.__setattr__(self, "_divergent", divergent)
@@ -110,6 +109,46 @@ class SyncTree:
         from .grammar import format_tree
 
         return f"SyncTree({format_tree(self)!r})"
+
+
+def _compare_summands(s, t) -> int:
+    """-1, 0 or 1 as ``(s[0].sort_key, s[1].sort_key)`` compares with ``t``'s.
+
+    The nested tuples are compared level by level on an explicit stack,
+    in the order tuple comparison visits them, so deep children do not
+    recurse: a child's key ``(divergent, summand keys)`` compares by its
+    flag, then summand by summand, then by its number of summands.
+    """
+    stack = [(s, t)]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:  # two summand lists whose common part is equal
+            if item:
+                return -1 if item < 0 else 1
+            continue
+        (p, c), (q, d) = item
+        if p.sort_key != q.sort_key:
+            return -1 if p.sort_key < q.sort_key else 1
+        if c is d:
+            continue
+        if c._divergent != d._divergent:
+            return -1 if d._divergent else 1
+        cs, ds = c._summands, d._summands
+        stack.append(len(cs) - len(ds))
+        stack.extend(reversed(list(zip(cs, ds))))
+    return 0
+
+
+def _sorted_summands(summands) -> tuple:
+    """``summands`` in the order of their nested sort keys.
+
+    Prefix keys are flat, so the children are compared, with
+    :func:`_compare_summands`, only when two prefixes are equal.
+    """
+    out = sorted(summands, key=lambda s: s[0].sort_key)
+    if any(s[0] == t[0] for s, t in zip(out, out[1:])):
+        out.sort(key=cmp_to_key(_compare_summands))
+    return tuple(out)
 
 
 NIL = SyncTree((), False)

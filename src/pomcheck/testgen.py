@@ -171,10 +171,3 @@ def random_tree(
 
     return build(size_budget)
 
-
-def random_state(seed, size_budget: int, alphabet=("a", "b"),
-                 divergence_probability: float = 0.15) -> ProcessState:
-    """Compiled root state of a random tree."""
-    return es_mod.compiled(
-        random_tree(seed, size_budget, alphabet, divergence_probability)
-    )

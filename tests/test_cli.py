@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import pomcheck
-from pomcheck import grammar
+from pomcheck import cli, grammar
 from pomcheck import prebisim as pb
 from pomcheck import testgen
 from pomcheck.cli import (
@@ -279,6 +279,33 @@ class TestInputErrors:
         assert code == EXIT_RELATED
         assert err == ""
         assert out == "P and P: related (step)\n"
+
+    def test_unexpected_exception_is_an_internal_error(self, procfile, capsys,
+                                                       monkeypatch):
+        def broken(p, q, kind, want_witness=False):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "bisim", broken)
+        code, out, err = run(capsys, "check", "--left", "P", "--right", "Q",
+                             "--rel", "step", procfile)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal error: KeyError: 'lost' (this is a bug)\n"
+
+    def test_deep_sibling_chains(self, tmp_path, capsys):
+        # sorting two deep summands compares their children level by level
+        chain = "a:0"
+        for _ in range(599):
+            chain = f"a:({chain})"
+        ending = "a:W"
+        for _ in range(599):
+            ending = f"a:({ending})"
+        deep = tmp_path / "siblings.pom"
+        deep.write_text(f"proc S = {chain} + {ending}\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", "--left", "S", "--right", "S",
+                             "--rel", "step", str(deep))
+        assert code == EXIT_RELATED
+        assert err == ""
+        assert out == "S and S: related (step)\n"
 
     def test_recursion_error_is_an_input_error(self, procfile, capsys,
                                                monkeypatch):

@@ -10,10 +10,13 @@ from pomcheck.equiv import RelationKind, bisim
 from pomcheck.errors import StructuralError
 from pomcheck.grammar import format_pomset, format_tree, parse_term
 from pomcheck.pomset import EMPTY_POMSET, chain_of, singleton, step_of
+from pomcheck.testgen import random_tree
 from pomcheck.synctree import (
     NIL,
     OMEGA,
     SyncTree,
+    _compare_summands,
+    _sorted_summands,
     prefix,
     subtrees,
     tree_divergent,
@@ -169,3 +172,42 @@ def test_hash_contract_on_a_very_deep_chain():
     back = parse_term(text)
     assert back == t and hash(back) == hash(t)
     assert back.depth == 20000 and back.size == 20001
+
+
+def _tuple_order(s, t):
+    a = (s[0].sort_key, s[1].sort_key)
+    b = (t[0].sort_key, t[1].sort_key)
+    return (a > b) - (a < b)
+
+
+def test_summand_order_is_the_nested_tuple_order():
+    # one-event prefixes over two labels, so many summands tie on their
+    # prefix and are ordered by their children
+    summands = []
+    for seed in range(200):
+        t = random_tree(f"order-{seed}", 12, ("a", "b"), max_prefix_events=1)
+        for s in subtrees(t):
+            summands.extend(s.summands)
+    rng = random.Random("summand-order")
+    for _ in range(5000):
+        s, t = rng.choice(summands), rng.choice(summands)
+        assert _compare_summands(s, t) == _tuple_order(s, t)
+    for _ in range(300):
+        sample = rng.sample(summands, rng.randint(2, 12))
+        want = sorted(sample, key=lambda s: (s[0].sort_key, s[1].sort_key))
+        assert list(_sorted_summands(sample)) == want
+        assert SyncTree(sample).summands == tuple(want)
+
+
+def test_deep_siblings_sort_without_recursion():
+    plain = chain_tree(3000)
+    ending = OMEGA
+    for _ in range(2999):
+        ending = prefix(A, ending)
+    ending = prefix(A, ending)
+    assert _compare_summands((A, plain), (A, ending)) == -1
+    assert _compare_summands((A, ending), (A, plain)) == 1
+    assert _compare_summands((A, plain), (A, chain_tree(3000))) == 0
+    t = SyncTree([(A, ending), (A, plain)])
+    assert t.summands == ((A, plain), (A, ending))
+    assert t == SyncTree([(A, plain), (A, ending)])
