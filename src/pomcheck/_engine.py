@@ -17,11 +17,16 @@ and differ in one guard: prebisimulation asks for back-transfer and
 convergence only from convergent left states, and under a restriction
 set only when every initial pomset of the left state is in the set.
 
-For the pomset/step kinds each side's states are interned as ints once
-per query, straight from the kind's transition table (or the subtrees
-under the tree-native semantics), with successors grouped by pomset,
-and only the matched-label pair product reachable from the root pair is
-explored.
+For the pomset/step kinds each side is read from its transition table,
+built once per structure and kind: states are ints in configuration
+graph order, each state's successors are grouped by a table-local
+pomset id, and the table lists its distinct pomsets.  A tree under the
+tree-native semantics gets the same table from its subtrees, built per
+query.  A query maps the left table's pomset ids to the right table's
+once and explores only the matched-label pair product reachable from
+the root pair; it builds no configuration event set and no state
+object.  A restriction that holds every transition label of both sides
+drops no obligation, so :func:`ranks` ignores it.
 The hp/hhp kinds run the same rounds over the posetal product, grown
 from the root triple in one pass over each structure's configuration
 graph, with configurations as bitmasks and each isomorphism packed into
@@ -102,19 +107,17 @@ def pair_space(p, q) -> frozenset:
     return frozenset((x, y) for x in state_space(p) for y in ys)
 
 
-def transition_rows(state, step_only: bool):
-    """``(state, its (Pomset, target) transitions)`` over ``state_space(state)``.
+def table_of(state, step_only: bool):
+    """The transition table of ``state``'s system and ``state``'s id in it.
 
-    Read straight from the kind's own table (or the subtrees), without
-    building a state object per transition: the step kind reads the step
-    table and never builds the pomset table.  Under the event-structure
-    semantics states are configurations.
+    A structure's table is built once and kept on it; a tree's is built
+    from its subtrees on each call.  The step kind reads the step table
+    and never builds the pomset table.
     """
     if isinstance(state, SyncTree):
-        return ((t, successors(t, step_only)) for t in st_mod.subtrees(state))
-    if step_only:
-        return es_mod._step_transition_table(state.structure).items()
-    return es_mod._pomset_transition_table(state.structure).items()
+        return es_mod.tree_table(state, step_only), 0
+    table = es_mod.transition_table(state.structure, step_only)
+    return table, table.index[es_mod.config_mask(state)]
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +440,17 @@ def _rounds(demands, extensions=None) -> dict:
     node's forward obligations, whose candidates are exactly the nodes
     it is an immediate sub-node of) a node is removed in the same round
     as any of its immediate sub-nodes, so every level stays downward
-    closed.
+    closed.  When round 1 removes nothing, no round does, and the
+    counters are not built.
     """
+    out = [n for n, groups in demands.items()
+           if groups is None or not all(groups)]
+    if not out:
+        return {}
     owner, live = [], []
     listed = {n: [] for n in demands}  # node -> the groups listing it
-    out = []
     for n, groups in demands.items():
-        if groups is None or not all(groups):
-            out.append(n)
+        if groups is None or not all(groups):  # in ``out``
             continue
         for cands in groups:
             group = len(live)
@@ -478,42 +484,34 @@ def _rounds(demands, extensions=None) -> dict:
     return rank
 
 
-def _interned(state, step_only, pids):
-    """The states of ``state``'s system as ints.
-
-    Returns each state's successors grouped by pomset id, each state's
-    divergence, and the id of ``state``.  ``pids`` interns pomsets and is
-    shared by both sides of a product.
-    """
-    rows = list(transition_rows(state, step_only))
-    index = {s: i for i, (s, _) in enumerate(rows)}
-    groups = []
-    for _, trans in rows:
-        g = {}
-        for u, s2 in trans:
-            g.setdefault(pids.setdefault(u, len(pids)), []).append(index[s2])
-        groups.append(g)
-    if isinstance(state, SyncTree):
-        return groups, [t.divergent for t, _ in rows], index[state]
-    div = state.structure.divergent_configs
-    return groups, [c in div for c, _ in rows], index[state.config]
-
-
 def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
     """Rounds over the matched-label pair product reachable from (p, q).
 
-    A pair ``(x, y)`` of interned states is keyed by ``x * ny + y``.
+    Both sides are read from their transition tables
+    (:func:`table_of`); the left table's pomset ids are mapped once to
+    the right table's, a pomset of the left side alone getting an id
+    past them.  A pair ``(x, y)`` of state ids is keyed by ``x * ny + y``.
     For each label the pair's successors form a matrix, one row per
     ``x``-successor and one column per ``y``-successor: the rows are
-    its forward obligations and the columns its backward ones.  With
-    ``everywhere`` the whole pair product is explored instead.
+    its forward obligations and the columns its backward ones.  A
+    restriction that holds every pomset of both sides drops nothing and
+    is ignored.  With ``everywhere`` the whole pair product is explored
+    instead.
     """
-    pids = {}
-    gx, dx, xr = _interned(p, step_only, pids)
-    gy, dy, yr = _interned(q, step_only, pids)
-    pomsets = list(pids)
+    tx, xr = table_of(p, step_only)
+    ty, yr = table_of(q, step_only)
+    pomsets, right_ids = list(ty.pomsets), ty.pomset_ids
+    common = []  # left pomset id -> its id among ``pomsets``
+    for u in tx.pomsets:
+        v = right_ids.get(u)
+        if v is None:
+            v = len(pomsets)
+            pomsets.append(u)
+        common.append(v)
     if restriction is not None:
-        restriction = {pids[u] for u in restriction if u in pids}
+        kept = {v for v, u in enumerate(pomsets) if u in restriction}
+        restriction = None if len(kept) == len(pomsets) else kept
+    gx, dx, gy, dy = tx.rows, tx.divergent, ty.rows, ty.divergent
     ny = len(gy)
     if everywhere:
         pairs = list(range(len(gx) * ny))
@@ -528,6 +526,7 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
         matrices = {}
         flabs, fwd, blabs, bwd = [], [], [], []
         for u, xs in gx[x].items():
+            u = common[u]
             ys = here.get(u, ())
             rows = []
             for x2 in xs:
@@ -584,6 +583,9 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     acts = None
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
+        if acts.issuperset(es1.labels.values()) and \
+                acts.issuperset(es2.labels.values()):
+            acts = None  # it drops nothing
     nodes, fwd, bwd = _posetal_product(es1, es2, hereditary)
     div1 = es_mod._event_masks(es1).divergent
     div2 = es_mod._event_masks(es2).divergent

@@ -19,16 +19,25 @@ extensions, grown from the empty configuration, with each
 configuration's enabled events derived from its parent's: adding ``e``
 drops ``e`` and its conflicts, and enables the events ``e`` causes
 immediately whose causes are then all present and which conflict with
-none of them.  :func:`configurations` and the action and step tables
-read this graph, building each configuration's event set once, when one
-of them is first asked for; the posetal product reads the masks
+none of them.  :func:`configurations` and the action table read this graph,
+building each configuration's event set once, when one of them is first
+asked for; the transition tables and the posetal product read the masks
 directly.
 
-Each kind builds only the transition table it reads.  The step table
-takes the conflict-free sets of each configuration's enabled events; the
-pomset table lists every strict extension ``c < d`` of masks and codes
-each residual ``d ^ c`` from the cause masks once, canonicalizing each
-residual shape once per build; the action table is the graph's edges.
+The pomset and step kinds each have one table, :class:`Transitions`,
+built once per structure and only for the kind that is asked for: the
+configurations by id in graph order (the empty one is 0), each id's
+successor ids grouped by a table-local pomset id, each id's divergence
+and the list of distinct pomsets.  The step table takes the
+conflict-free sets of each configuration's enabled events; the pomset
+table lists every strict extension ``c < d`` of masks and codes each
+residual ``d ^ c`` from the cause masks once, canonicalizing each
+residual shape once per build.  A tree under the tree-native semantics
+gets the same form from its subtrees (:func:`tree_table`).  The
+engine reads the tables as they are; :func:`pomset_transitions`,
+:func:`step_transitions`, :func:`initials`, :func:`derivatives` and
+:func:`sort` decode a row to event sets and states only when called,
+and keep nothing decoded.
 """
 
 from __future__ import annotations
@@ -426,78 +435,177 @@ def _residual_pomset(r: int, labels, causes, shapes) -> Pomset:
     return u
 
 
-@derived_table
-def _pomset_transition_table(es: PrimeEventStructure):
-    """config -> tuple of (Pomset, target config), all strict extensions.
+class Transitions(NamedTuple):
+    """One transition system's table, its states numbered from 0.
 
-    Configurations are compared as masks.  A residual's pomset depends
-    on its event set ``d ^ c`` alone, so it is computed once per
-    residual mask (:func:`_residual_pomset`).
+    ``states[x]`` is state ``x``: a configuration mask in graph order,
+    or a subtree under the tree-native semantics; the root is state 0
+    and ``index`` maps each state to its id.  ``rows[x]`` maps each
+    table-local pomset id to the ids of the states that ``x`` reaches by
+    that pomset, ``divergent[x]`` is state ``x``'s divergence,
+    ``pomsets`` lists the distinct pomsets by id and ``pomset_ids``
+    maps each of them to its id.
+    """
+
+    states: tuple
+    index: dict
+    rows: tuple
+    divergent: tuple
+    pomsets: tuple
+    pomset_ids: dict
+
+
+def _graph_states(es: PrimeEventStructure):
+    """The configuration masks in graph order, their ids and divergence."""
+    configs = tuple(_config_graph(es))
+    div = _event_masks(es).divergent
+    return (configs, {c: x for x, c in enumerate(configs)},
+            tuple([c in div for c in configs]))
+
+
+@derived_table
+def _pomset_table(es: PrimeEventStructure) -> Transitions:
+    """The pomset transitions: every strict extension ``c < d`` of masks.
+
+    A residual's pomset depends on its event set ``d ^ c`` alone, so it
+    is computed, and given its pomset id, once per residual mask
+    (:func:`_residual_pomset`).
     """
     labels, causes = _event_masks(es)[:2]
-    sets = _config_sets(es)
-    residuals, shapes = {}, {}
-    table = {}
-    for c, cset in sets.items():
-        out = []
-        for d, dset in sets.items():
+    configs, index, divergent = _graph_states(es)
+    pids, residuals, shapes = {}, {}, {}
+    rows = []
+    for c in configs:
+        row = {}
+        for y, d in enumerate(configs):
             if d & c == c and d != c:
                 r = d ^ c
                 u = residuals.get(r)
                 if u is None:
-                    u = residuals[r] = _residual_pomset(r, labels, causes,
-                                                        shapes)
-                out.append((u, dset))
-        table[cset] = tuple(out)
-    return table
+                    pom = _residual_pomset(r, labels, causes, shapes)
+                    u = residuals[r] = pids.setdefault(pom, len(pids))
+                ys = row.get(u)
+                if ys is None:
+                    row[u] = [y]
+                else:
+                    ys.append(y)
+        rows.append(row)
+    return Transitions(configs, index, tuple(rows), divergent, tuple(pids),
+                       pids)
 
 
 @derived_table
-def _step_transition_table(es: PrimeEventStructure):
-    """config -> tuple of (step Pomset, target config), all step extensions.
+def _step_table(es: PrimeEventStructure) -> Transitions:
+    """The step transitions: every step extension of each configuration.
 
     Events enabled at ``c`` are pairwise causally unrelated, so each
     nonempty conflict-free set of them is the residual of exactly one
     extension of ``c`` with an empty residual order, and every such
     extension arises this way.  The enabled events are read off the
-    configuration graph; no pomset table is built.
+    configuration graph; the pomset table is not built.
     """
     conflicts = _event_masks(es).conflicts
-    sets = _config_sets(es)
-    steps = {}
-    table = {}
+    configs, index, divergent = _graph_states(es)
+    pids, steps = {}, {}
+    rows = []
     for c, edges in _config_graph(es).items():
         subsets = [(0, ())]
         for lab, i, _ in edges:
             bit, clash = 1 << i, conflicts[i]
             subsets += [(m | bit, labs + (lab,)) for m, labs in subsets
                         if not m & clash]
-        out = []
+        row = {}
         for m, labs in subsets[1:]:
             u = steps.get(labs)  # keyed by labels in event order; step_of sorts
             if u is None:
-                u = steps[labs] = step_of(labs)
-            out.append((u, sets[c | m]))
-        table[sets[c]] = tuple(out)
-    return table
+                u = steps[labs] = pids.setdefault(step_of(labs), len(pids))
+            ys = row.get(u)
+            if ys is None:
+                row[u] = [index[c | m]]
+            else:
+                ys.append(index[c | m])
+        rows.append(row)
+    return Transitions(configs, index, tuple(rows), divergent, tuple(pids),
+                       pids)
 
 
-def _states(s: ProcessState, rows) -> frozenset:
-    return frozenset((u, ProcessState(s.structure, d)) for u, d in rows)
+def transition_table(es: PrimeEventStructure, step_only: bool) -> Transitions:
+    """The step or the pomset table of ``es``, built once per structure."""
+    return _step_table(es) if step_only else _pomset_table(es)
+
+
+def tree_table(t: SyncTree, step_only: bool) -> Transitions:
+    """The tree-native table of ``t``: its distinct subtrees, ``t`` first.
+
+    A subtree's transitions are its summands, a repeated summand once;
+    with ``step_only`` those with a step prefix.  Every subtree is a
+    state, whatever its prefix.  Built on each call: trees carry no
+    derived tables.
+    """
+    states, index = [t], {t: 0}
+    pids = {}
+    rows = []
+    for s in states:  # grows while it is read
+        row = {}
+        for u, child in s.summands:
+            y = index.get(child)
+            if y is None:
+                y = index[child] = len(states)
+                states.append(child)
+            if step_only and not u.is_step():
+                continue
+            ys = row.setdefault(pids.setdefault(u, len(pids)), [])
+            if y not in ys:  # a repeated summand
+                ys.append(y)
+        rows.append(row)
+    return Transitions(tuple(states), index, tuple(rows),
+                       tuple([s.divergent for s in states]), tuple(pids), pids)
+
+
+@derived_table
+def _event_bits(es: PrimeEventStructure) -> dict:
+    return {e: 1 << i for i, e in enumerate(es.events)}
+
+
+def config_mask(s: ProcessState) -> int:
+    """The mask of ``s``'s configuration."""
+    if not s.config:
+        return 0
+    bits = _event_bits(s.structure)
+    m = 0
+    for e in s.config:
+        m |= bits[e]
+    return m
+
+
+def _decoded(s: ProcessState, table: Transitions, row) -> frozenset:
+    """The ``(Pomset, ProcessState)`` transitions of one row of ``table``."""
+    es = s.structure
+    events, states, pomsets = es.events, table.states, table.pomsets
+    return frozenset(
+        (pomsets[u],
+         ProcessState(es, frozenset([events[i]
+                                     for i in _positions(states[y])])))
+        for u, ys in row.items() for y in ys
+    )
+
+
+def _row(s: ProcessState, step_only: bool):
+    table = transition_table(s.structure, step_only)
+    return table, table.rows[table.index[config_mask(s)]]
 
 
 def pomset_transitions(s: ProcessState) -> frozenset:
     """All pomset-labelled transitions from ``s`` (configuration extensions)."""
-    return _states(s, _pomset_transition_table(s.structure)[s.config])
+    return _decoded(s, *_row(s, False))
 
 
 def step_transitions(s: ProcessState) -> frozenset:
     """Pomset transitions whose label is a step (empty order).
 
-    Read from the step table, built straight from the conflict-free sets
-    of enabled events; the pomset table is not built.
+    Decoded from the step table; the pomset table is not built.
     """
-    return _states(s, _step_transition_table(s.structure)[s.config])
+    return _decoded(s, *_row(s, True))
 
 
 @derived_table
@@ -518,12 +626,13 @@ def action_transitions(s: ProcessState) -> frozenset:
 
 def divergent(s: ProcessState) -> bool:
     """Divergence predicate on the current configuration."""
-    return s.config in s.structure.divergent_configs
+    return config_mask(s) in _event_masks(s.structure).divergent
 
 
 def initials(s: ProcessState) -> frozenset:
     """Pomsets labelling some transition from ``s``."""
-    return frozenset(u for u, _ in pomset_transitions(s))
+    table, row = _row(s, False)
+    return frozenset([table.pomsets[u] for u in row])
 
 
 def derivatives(s: ProcessState, u: Pomset) -> frozenset:
@@ -538,9 +647,10 @@ def sort(s: ProcessState) -> frozenset:
     reachable in one step; the sort is the union of initials over all
     extending configurations.
     """
-    table = _pomset_transition_table(s.structure)
+    table = _pomset_table(s.structure)
+    c = config_mask(s)
     acc = set()
-    for c, outs in table.items():
-        if s.config <= c:
-            acc.update(u for u, _ in outs)
-    return frozenset(acc)
+    for d, row in zip(table.states, table.rows):
+        if d & c == c:
+            acc.update(row)
+    return frozenset([table.pomsets[u] for u in acc])

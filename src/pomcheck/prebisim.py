@@ -28,7 +28,7 @@ from ._engine import (
     stable_depth,
     sub_triples,
     successors,
-    transition_rows,
+    table_of,
     triple_demands,
     triple_transitions,
 )
@@ -175,12 +175,8 @@ def first_failing_level(p, q, kind: RelationKind, restriction=None) -> Optional[
 
 
 def _sort_pomsets(state, kind: RelationKind) -> frozenset:
-    """All transition labels of ``state``'s system."""
-    return frozenset(
-        u
-        for _, trans in transition_rows(state, kind is RelationKind.STEP)
-        for u, _ in trans
-    )
+    """All transition labels of ``state``'s system, read from its table."""
+    return frozenset(table_of(state, kind is RelationKind.STEP)[0].pomsets)
 
 
 def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
@@ -203,7 +199,13 @@ def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
 
 
 def fin_preorder(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
-    """The finitary preorder: stratified limit over the dominating set."""
+    """The finitary preorder: stratified limit over the dominating set.
+
+    The dominating set holds every transition label of both systems, so
+    it drops no obligation and guards no initial: on these finite models
+    the finitary preorder is the greatest prebisimulation, and
+    :func:`~pomcheck._engine.ranks` reads the set as no restriction.
+    """
     pmax = dominating_restriction(p, q, kind)
     return verdict(_ranks(p, q, kind, pmax), want_witness, pmax)
 

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 from . import estructure as es_mod
-from ._engine import diverges, successors
+from ._engine import table_of
 from .equiv import RelationKind
 from .errors import InternalInconsistencyError
 from .estructure import ProcessState
@@ -56,16 +56,26 @@ def enumerate_trees(
         pool = pool + fresh
 
 
-def _kind_successors(state, kind: RelationKind):
-    """(prefix pomset, successor state) pairs for the given relation kind."""
-    if kind is RelationKind.POMSET:
-        return successors(state, step_only=False)
-    if kind is RelationKind.STEP:
-        return successors(state, step_only=True)
-    # hp/hhp observe single actions
-    return frozenset(
-        (singleton(lab), s2) for lab, s2 in es_mod.action_transitions(state)
-    )
+def _kind_rows(state, kind: RelationKind):
+    """``state``'s system as ``(root, out, divergent)``.
+
+    ``out(x)`` lists the ``(prefix pomset, successor)`` transitions of
+    state ``x`` under ``kind`` and ``divergent(x)`` its divergence.
+    States are read from the kind's transition table (ids), or for
+    hp/hhp, which observe single actions, from the configuration graph
+    (masks); no state object is built.
+    """
+    if kind.posetal:
+        graph = es_mod._config_graph(state.structure)
+        return (es_mod.config_mask(state),
+                lambda c: [(singleton(lab), d) for lab, _, d in graph[c]],
+                es_mod._event_masks(state.structure).divergent.__contains__)
+    table, root = table_of(state, kind is RelationKind.STEP)
+    pomsets, rows = table.pomsets, table.rows
+    return (root,
+            lambda x: [(pomsets[u], y) for u, ys in rows[x].items()
+                       for y in ys],
+            table.divergent.__getitem__)
 
 
 def characteristic_tree(
@@ -80,18 +90,54 @@ def characteristic_tree(
     unspecified tree.  The contract (the tree lies below ``state`` and
     tests exactly the level-``n`` approximant) is verified by the test
     suite, not assumed.
+
+    Built bottom-up on an explicit stack, once per (state, level), so
+    depth is not bounded by the recursion limit.
     """
     restriction = frozenset(restriction)
     if n <= 0:
         return OMEGA
-    succs = _kind_successors(state, kind)
-    summands = [
-        (u, characteristic_tree(s2, restriction, n - 1, kind))
-        for u, s2 in succs
-        if u in restriction
-    ]
-    div = diverges(state) or any(u not in restriction for u, _ in succs)
-    return SyncTree(summands, div)
+    root, out, divergent = _kind_rows(state, kind)
+    trees = {}  # (state, level) -> its tree
+    stack = [(root, n)]
+    while stack:
+        x, m = stack[-1]
+        if (x, m) in trees:
+            stack.pop()
+            continue
+        succs = out(x)
+        if m > 1:
+            missing = [(y, m - 1) for u, y in succs
+                       if u in restriction and (y, m - 1) not in trees]
+            if missing:
+                stack += missing
+                continue
+        stack.pop()
+        trees[x, m] = SyncTree(
+            [(u, trees[y, m - 1] if m > 1 else OMEGA)
+             for u, y in succs if u in restriction],
+            divergent(x) or any(u not in restriction for u, _ in succs),
+        )
+    return trees[root, n]
+
+
+def _candidates(p, q, kind: RelationKind, pmax, n):
+    """The candidate trees of :func:`distinguishing_tree`, each made
+    only when the one before it has failed."""
+    from . import prebisim as pb
+
+    yield characteristic_tree(p, pmax, n, kind)
+    if kind.posetal:
+        # action-prefixed trees linearize histories and often fail the
+        # posetal check against concurrent processes; pomset-prefixed
+        # trees built from the pomset stratification are a second shot
+        pmax_pom = pb.dominating_restriction(p, q, RelationKind.POMSET)
+        m = pb.first_failing_level(p, q, RelationKind.POMSET, pmax_pom)
+        if m is not None:
+            yield characteristic_tree(p, pmax_pom, m, RelationKind.POMSET)
+    if (isinstance(p, ProcessState) and not p.config
+            and p.structure.tree is not None):
+        yield p.structure.tree
 
 
 def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
@@ -110,21 +156,7 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
     n = pb.first_failing_level(p, q, kind, pmax)
     if n is None:
         return None
-    candidates = [characteristic_tree(p, pmax, n, kind)]
-    if kind.posetal:
-        # action-prefixed trees linearize histories and often fail the
-        # posetal check against concurrent processes; pomset-prefixed
-        # trees built from the pomset stratification are a second shot
-        pmax_pom = pb.dominating_restriction(p, q, RelationKind.POMSET)
-        m = pb.first_failing_level(p, q, RelationKind.POMSET, pmax_pom)
-        if m is not None:
-            candidates.append(
-                characteristic_tree(p, pmax_pom, m, RelationKind.POMSET)
-            )
-    if (isinstance(p, ProcessState) and not p.config
-            and p.structure.tree is not None):
-        candidates.append(p.structure.tree)
-    for chi in candidates:
+    for chi in _candidates(p, q, kind, pmax, n):
         ts = tree_as_process(chi, kind)
         if pb.prebisim(ts, p, kind).related and not pb.prebisim(ts, q, kind).related:
             return chi

@@ -307,6 +307,27 @@ class TestInputErrors:
         assert err == ""
         assert out == "S and S: related (step)\n"
 
+    def test_deep_chain_explain(self, tmp_path, capsys):
+        # the characteristic tree is built on a stack, and verified as a
+        # tree against a compiled process
+        chain, ending = "a:0", "a:W"
+        for _ in range(1199):
+            chain, ending = f"a:({chain})", f"a:({ending})"
+        deep = tmp_path / "deep.pom"
+        deep.write_text(f"proc P = {chain}\nproc Q = {ending}\n",
+                        encoding="utf-8")
+        names = ("--left", "P", "--right", "Q", "--rel", "step")
+        code, out, err = run(capsys, "check", "--pre", *names, str(deep))
+        assert code == EXIT_NOT_RELATED and err == ""
+        code, out, err = run(capsys, "explain", *names, str(deep))
+        assert code == EXIT_NOT_RELATED and err == ""
+        t = parse_term(out.strip())
+        assert t.depth == 1200
+        table = grammar.parse(deep.read_text(encoding="utf-8"))
+        p, q = compiled(table["P"]), compiled(table["Q"])
+        assert pb.prebisim(t, p, RelationKind.STEP).related
+        assert not pb.prebisim(t, q, RelationKind.STEP).related
+
     def test_recursion_error_is_an_input_error(self, procfile, capsys,
                                                monkeypatch):
         def too_deep(text):

@@ -12,11 +12,12 @@ from collections import Counter
 
 import pytest
 
+import pair_oracle
 import table_oracle as oracle
 from conftest import chain_tree, f1_terms
 from pomcheck import _engine
 from pomcheck import estructure as es_mod
-from pomcheck.estructure import PrimeEventStructure
+from pomcheck.estructure import PrimeEventStructure, ProcessState
 from pomcheck.grammar import parse_term
 from pomcheck.testgen import random_tree
 
@@ -93,11 +94,14 @@ def test_graph_tables_match_oracle(family):
         assert all(_events(es, c) == cset for c, cset in sets.items())
         assert es_mod._action_transition_table(es) == \
             oracle.action_table(es, configs)
-        steps = es_mod._step_transition_table(es)
+        steps = pair_oracle.decoded(es, es_mod._step_table(es))
         want = oracle.step_table(es, configs)
         assert steps.keys() == want.keys()
         for c, rows in want.items():
             assert Counter(steps[c]) == Counter(rows)
+            # decoded with event ids that are not positions
+            assert es_mod.step_transitions(ProcessState(es, c)) == \
+                {(u, ProcessState(es, d)) for u, d in rows}
         masks = es_mod._event_masks(es)
         relevant = oracle.relevant(es, configs)
         for c, cset in sets.items():

@@ -100,20 +100,64 @@ def test_kernel_queries_leave_no_cyclic_garbage(tmp_path, capsys):
     assert found == 0
 
 
-def test_step_queries_build_no_pomset_table():
-    # nor the cause and conflict set views: queries read the masks
-    unbuilt = {es_mod._pomset_transition_table.__wrapped__,
+def _check_derived(es, kind):
+    """Only int tables in ``es.derived``: no configuration event sets,
+    no frozenset-keyed table, no set views of the masks, and for the
+    step kind no pomset table."""
+    unbuilt = {es_mod._config_sets.__wrapped__,
+               es_mod._action_transition_table.__wrapped__,
                es_mod._cause_sets.__wrapped__,
-               es_mod._conflict_sets.__wrapped__}
+               es_mod._conflict_sets.__wrapped__,
+               es_mod._divergent_sets.__wrapped__}
+    if kind is RelationKind.STEP:
+        unbuilt.add(es_mod._pomset_table.__wrapped__)
+    assert es.derived
+    for key, value in es.derived.items():
+        assert key[0] not in unbuilt
+        assert not isinstance(value, frozenset)
+        assert not (isinstance(value, dict)
+                    and any(isinstance(k, frozenset) for k in value))
+
+
+def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
+    # pomset and step queries read int tables only, through the library
+    # and through the command line
     table = parse(F1)
-    for left, right in [(table["Q"], table["P"]), (chain_tree(12), chain_tree(11))]:
-        p, q = compiled(left), compiled(right)
-        bisim(p, q, RelationKind.STEP, want_witness=True)
-        pb.prebisim(p, q, RelationKind.STEP, want_witness=True)
-        pb.fin_preorder(p, q, RelationKind.STEP, want_witness=True)
-        for es in (p.structure, q.structure):
-            assert es.derived
-            assert not any(key[0] in unbuilt for key in es.derived)
+    pairs = [(table["Q"], table["P"]), (chain_tree(12), chain_tree(11))]
+    for kind in (RelationKind.POMSET, RelationKind.STEP):
+        for left, right in pairs:
+            p, q = compiled(left), compiled(right)
+            bisim(p, q, kind, want_witness=True)
+            pb.prebisim(p, q, kind, want_witness=True)
+            pb.fin_preorder(p, q, kind, want_witness=True)
+            distinguishing_tree(p, q, kind)
+            for es in (p.structure, q.structure):
+                _check_derived(es, kind)
+
+    made = []
+
+    def recorded(t):
+        state = compiled(t)
+        made.append(state.structure)
+        return state
+
+    monkeypatch.setattr(es_mod, "compiled", recorded)
+    path = tmp_path / "f1.pom"
+    path.write_text(F1, encoding="utf-8")
+    names = ["--left", "Q", "--right", "P"]
+    for kind in (RelationKind.POMSET, RelationKind.STEP):
+        rel = ["--rel", kind.value]
+        for argv in (["check", *names, *rel, "--witness", "--json"],
+                     ["check", *names, *rel, "--pre", "--witness"],
+                     ["check", *names, *rel, "--kernel"],
+                     ["approx", *names, *rel, "--max-level", "5"],
+                     ["explain", *names, *rel]):
+            made.clear()
+            assert main([*argv, str(path)]) in (0, 1)
+            assert len(made) == 2
+            for es in made:
+                _check_derived(es, kind)
+    capsys.readouterr()
 
 
 def test_deep_chain_step_queries():

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import pair_oracle
 import table_oracle
 import pomcheck
 from conftest import chain_tree, closed_orders, f1_terms, random_coded_input
@@ -44,13 +45,46 @@ def test_tables_match_per_extension_oracle(family):
     for t in CORPUS[family]:
         es = es_mod.compile_tree(t)[0]
         oracle = table_oracle.pomset_table(es)
-        steps = es_mod._step_transition_table(es)
-        pomsets = es_mod._pomset_transition_table(es)
+        steps = pair_oracle.decoded(es, es_mod._step_table(es))
+        pomsets = pair_oracle.decoded(es, es_mod._pomset_table(es))
         assert steps.keys() == pomsets.keys() == oracle.keys()
         for c, rows in oracle.items():
             assert _rows(steps[c]) == _rows((u, d) for u, d in rows
                                             if u.is_step())
             assert _rows(pomsets[c]) == _rows(rows)
+        for table in (es_mod._step_table(es), es_mod._pomset_table(es)):
+            _check_form(es, table)
+        _check_decoding(es, oracle)
+
+
+def _check_decoding(es, oracle):
+    """The ProcessState functions decode the rows to the oracle's."""
+    for c, rows in oracle.items():
+        s = es_mod.ProcessState(es, c)
+        assert es_mod.pomset_transitions(s) == \
+            {(u, es_mod.ProcessState(es, d)) for u, d in rows}
+        assert es_mod.step_transitions(s) == \
+            {(u, es_mod.ProcessState(es, d)) for u, d in rows if u.is_step()}
+        assert es_mod.initials(s) == {u for u, _ in rows}
+        for u in {u for u, _ in rows}:
+            assert es_mod.derivatives(s, u) == \
+                {es_mod.ProcessState(es, d) for v, d in rows if v == u}
+        assert es_mod.sort(s) == {u for c2, rows2 in oracle.items()
+                                  if c <= c2 for u, _ in rows2}
+
+
+def _check_form(es, table):
+    """Ids follow the configuration graph, root 0; the pomset list holds
+    each row's pomsets once; divergence is read per configuration."""
+    assert table.states == tuple(es_mod._config_graph(es))
+    assert table.states[0] == 0
+    assert table.index == {c: x for x, c in enumerate(table.states)}
+    assert len(set(table.pomsets)) == len(table.pomsets)
+    assert table.pomset_ids == {u: i for i, u in enumerate(table.pomsets)}
+    assert {u for row in table.rows for u in row} == \
+        set(range(len(table.pomsets)))
+    div = es_mod._event_masks(es).divergent
+    assert table.divergent == tuple(c in div for c in table.states)
 
 
 def test_step_canonical_form_matches_kernel():

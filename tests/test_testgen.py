@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import pair_oracle
 from conftest import f1_terms, tree_corpus
 from pomcheck import prebisim as pb
+from pomcheck import testgen
 from pomcheck.equiv import RelationKind
-from pomcheck.estructure import compiled
+from pomcheck.estructure import ProcessState, compiled, configurations
 from pomcheck.grammar import format_tree, parse_term
 from pomcheck.pomset import singleton, step_of
 from pomcheck.synctree import NIL, OMEGA, SyncTree, prefix, tree_size
@@ -66,6 +68,27 @@ class TestCharacteristicTree:
         p = compiled(prefix(B))
         chi = characteristic_tree(p, {A}, 2, RelationKind.POMSET)
         assert chi == OMEGA
+
+    def test_matches_recursive_builder(self):
+        # every kind, every level up to 4, root and non-root states,
+        # compiled and tree-native, and the dominating and a random
+        # restriction
+        rng = random.Random("chi-recursive")
+        for t in tree_corpus("chi-rec", 60, 8, 7):
+            p = compiled(t)
+            below = ProcessState(p.structure, rng.choice(
+                sorted(configurations(p.structure), key=sorted)))
+            for kind in RelationKind:
+                states = [p, below] if kind.posetal else [p, below, t]
+                pmax = pb.dominating_restriction(p, p, kind)
+                some = {u for u in sorted(pmax) if rng.random() < 0.6}
+                for state in states:
+                    for restriction in (pmax, some):
+                        for n in range(5):
+                            assert characteristic_tree(
+                                state, restriction, n, kind) == \
+                                pair_oracle.characteristic_tree(
+                                    state, restriction, n, kind)
 
     def test_contract_on_corpus(self):
         # chi <= p, and chi <= q iff p is below q in the stratified
@@ -142,6 +165,71 @@ class TestDistinguishingTree:
                 assert pb.prebisim(ts, p, kind).related
                 assert not pb.prebisim(ts, q, kind).related
         assert negatives == 510
+
+    def test_pomset_candidate_only_when_the_first_fails(self, monkeypatch):
+        """hp/hhp make the pomset-kind dominating set, its failing level
+        and its tree only when the first candidate fails re-verification,
+        and return the tree the eager candidate list returned."""
+        pairs = [(parse_term(a), parse_term(b))
+                 for labels in ("abcd", "aaabb")
+                 for a in f1_terms(labels) for b in f1_terms(labels)]
+        pairs += [(random_tree(f"L{i}", 7, ("a", "b")),
+                   random_tree(f"R{i}", 7, ("a", "b"))) for i in range(60)]
+        calls = []
+
+        def counted(fn):
+            def call(*args):
+                if RelationKind.POMSET in args:
+                    calls.append(fn.__name__)
+                return fn(*args)
+            return call
+
+        eager = []
+        for t1, t2 in pairs:
+            for kind in (RelationKind.HP, RelationKind.HHP):
+                p, q = compiled(t1), compiled(t2)
+                eager.append((p, q, kind, _eager_tree(p, q, kind)))
+        monkeypatch.setattr(pb, "dominating_restriction",
+                            counted(pb.dominating_restriction))
+        monkeypatch.setattr(pb, "first_failing_level",
+                            counted(pb.first_failing_level))
+        monkeypatch.setattr(testgen, "characteristic_tree",
+                            counted(characteristic_tree))
+        lazy = 0
+        for p, q, kind, (want, first_ok, m) in eager:
+            calls.clear()
+            assert distinguishing_tree(p, q, kind) == want
+            if want is None or first_ok:
+                assert calls == []
+            else:
+                lazy += 1
+                assert calls == ["dominating_restriction",
+                                 "first_failing_level"] + \
+                    ["characteristic_tree"] * (m is not None)
+        assert 0 < lazy < sum(t is not None for *_, (t, _, _) in eager)
+
+
+def _eager_tree(p, q, kind):
+    """``(tree, whether the first candidate verified, pomset level)`` of
+    the eager candidate list: every candidate built before any is
+    verified."""
+    pmax = pb.dominating_restriction(p, q, kind)
+    n = pb.first_failing_level(p, q, kind, pmax)
+    if n is None:
+        return None, False, None
+    candidates = [characteristic_tree(p, pmax, n, kind)]
+    pmax_pom = pb.dominating_restriction(p, q, RelationKind.POMSET)
+    m = pb.first_failing_level(p, q, RelationKind.POMSET, pmax_pom)
+    if m is not None:
+        candidates.append(
+            characteristic_tree(p, pmax_pom, m, RelationKind.POMSET))
+    candidates.append(p.structure.tree)
+    for i, chi in enumerate(candidates):
+        ts = tree_as_process(chi, kind)
+        if pb.prebisim(ts, p, kind).related and \
+                not pb.prebisim(ts, q, kind).related:
+            return chi, i == 0, m
+    raise AssertionError("no candidate distinguishes")
 
 
 class TestRandomTree:
