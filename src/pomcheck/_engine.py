@@ -25,33 +25,32 @@ tree-native semantics gets the same table from its subtrees, built per
 query.  A query maps the left table's pomset ids to the right table's
 once and explores only the matched-label pair product reachable from
 the root pair; it builds no configuration event set and no state
-object.  A restriction that holds every transition label of both sides
-drops no obligation, so :func:`ranks` ignores it.
+object.  A caller whose restriction would hold every transition label
+of both sides passes none.
 The hp/hhp kinds run the same rounds over the posetal product, grown
 from the root triple in one pass over each structure's configuration
 graph, with configurations as bitmasks and each isomorphism packed into
 an int, and kept on the left structure (the right one joins its key as
 a weak reference); hp runs over the product quotiented by relevant
-events.  The triple-keyed tables of :func:`triple_space`,
-:func:`triple_transitions` and :func:`sub_triples` are decoded from the
-int product only when asked for.
+events.
+
+No query reads :func:`successors`, :func:`pair_space` or the
+triple-keyed tables of :func:`triple_space`, :func:`triple_transitions`
+and :func:`sub_triples`, which are decoded from the int product only
+when asked for; the benchmark's traced replay calls them layer by
+layer, and the test oracles read them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional
 
 from . import estructure as es_mod
 from . import synctree as st_mod
 from .errors import StructuralError
-from .estructure import (
-    Config,
-    PrimeEventStructure,
-    ProcessState,
-    derived_table,
-)
+from .estructure import PrimeEventStructure, ProcessState, derived_table
 from .pomset import singleton
 from .synctree import SyncTree
 
@@ -86,25 +85,17 @@ def successors(state, step_only: bool) -> frozenset:
     return es_mod.pomset_transitions(state)
 
 
-def diverges(state) -> bool:
-    if isinstance(state, SyncTree):
-        return state.divergent
-    return es_mod.divergent(state)
-
-
-def state_space(state) -> frozenset:
-    """All states sharing ``state``'s underlying system."""
-    if isinstance(state, SyncTree):
-        return st_mod.subtrees(state)
-    return frozenset(
-        ProcessState(state.structure, c)
-        for c in es_mod.configurations(state.structure)
-    )
-
-
 def pair_space(p, q) -> frozenset:
-    ys = state_space(q)
-    return frozenset((x, y) for x in state_space(p) for y in ys)
+    """Every pair of a state of ``p``'s system and a state of ``q``'s."""
+
+    def states(s):
+        if isinstance(s, SyncTree):
+            return st_mod.subtrees(s)
+        return [ProcessState(s.structure, c)
+                for c in es_mod.configurations(s.structure)]
+
+    ys = states(q)
+    return frozenset((x, y) for x in states(p) for y in ys)
 
 
 def table_of(state, step_only: bool):
@@ -123,11 +114,6 @@ def table_of(state, step_only: bool):
 # ---------------------------------------------------------------------------
 # posetal triples
 # ---------------------------------------------------------------------------
-
-Iso = FrozenSet[Tuple[int, int]]
-Triple = Tuple[Config, Iso, Config]
-
-ROOT_TRIPLE: Triple = (frozenset(), frozenset(), frozenset())
 
 
 def _relevant(above, c: int) -> int:
@@ -379,19 +365,6 @@ def demand(fwd, bwd, left_div, right_div, restriction, pre):
     return groups + allowed(bwd)
 
 
-def split(obligations):
-    """``(label, candidates)`` obligations as the ``(labels, groups)``
-    pair that :func:`demand` reads."""
-    return tuple(zip(*obligations)) or ((), ())
-
-
-def holds(groups, relation) -> bool:
-    """Whether a node with these demands is kept by one application."""
-    return groups is not None and all(
-        any(c in relation for c in cands) for cands in groups
-    )
-
-
 # ---------------------------------------------------------------------------
 # rounds and rank maps
 # ---------------------------------------------------------------------------
@@ -493,10 +466,8 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
     past them.  A pair ``(x, y)`` of state ids is keyed by ``x * ny + y``.
     For each label the pair's successors form a matrix, one row per
     ``x``-successor and one column per ``y``-successor: the rows are
-    its forward obligations and the columns its backward ones.  A
-    restriction that holds every pomset of both sides drops nothing and
-    is ignored.  With ``everywhere`` the whole pair product is explored
-    instead.
+    its forward obligations and the columns its backward ones.  With
+    ``everywhere`` the whole pair product is explored instead.
     """
     tx, xr = table_of(p, step_only)
     ty, yr = table_of(q, step_only)
@@ -509,8 +480,7 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
             pomsets.append(u)
         common.append(v)
     if restriction is not None:
-        kept = {v for v, u in enumerate(pomsets) if u in restriction}
-        restriction = None if len(kept) == len(pomsets) else kept
+        restriction = {v for v, u in enumerate(pomsets) if u in restriction}
     gx, dx, gy, dy = tx.rows, tx.divergent, ty.rows, ty.divergent
     ny = len(gy)
     if everywhere:
@@ -560,20 +530,6 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
                  labelled(root_bwd), len(pairs))
 
 
-def triple_demands(fwd, bwd, es1, es2, acts, pre) -> dict:
-    """The :func:`demand` of every node of a posetal product.
-
-    ``fwd`` and ``bwd`` are the product's transfer tables; ``acts``
-    (``None`` for none) restricts the observed actions.
-    """
-    div1, div2 = es1.divergent_configs, es2.divergent_configs
-    return {
-        t: demand(split(fw), split(bwd[t]), t[0] in div1, t[2] in div2,
-                  acts, pre)
-        for t, fw in fwd.items()
-    }
-
-
 def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     """Rounds over the posetal product of the two structures.
 
@@ -583,9 +539,6 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     acts = None
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction if len(u) == 1}
-        if acts.issuperset(es1.labels.values()) and \
-                acts.issuperset(es2.labels.values()):
-            acts = None  # it drops nothing
     nodes, fwd, bwd = _posetal_product(es1, es2, hereditary)
     div1 = es_mod._event_masks(es1).divergent
     div2 = es_mod._event_masks(es2).divergent
@@ -636,7 +589,7 @@ def stable_depth(p, q, kind: RelationKind, restriction=None, r=None) -> int:
 
     Unlike the root's rank this covers pairs unreachable from (p, q).
     An hp/hhp rank map already covers the whole product: a caller that
-    holds ``ranks(p, q, kind, restriction, True)`` passes it as ``r``.
+    has ``ranks(p, q, kind, restriction, True)`` passes it as ``r``.
     """
     if kind.posetal:
         return (r or ranks(p, q, kind, restriction, True)).depth

@@ -117,10 +117,17 @@ def _restriction_from_file(path):
     poms = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.split("#", 1)[0].strip()
+            line = line.partition("#")[0].strip()
             if line:
                 poms.add(grammar.parse_pomset(line))
     return frozenset(poms)
+
+
+def _natural(value, flag):
+    """``value`` of a bound option, which must not be negative."""
+    if value < 0:
+        raise ParseError(f"{flag} must be a natural number")
+    return value
 
 
 def _format_witness(w):
@@ -205,12 +212,13 @@ def _run_check(args) -> int:
 
 
 def _run_approx(args) -> int:
+    max_level = _natural(args.max_level, "--max-level")
     table = _load(args.file)
     left = estructure.compiled(_lookup(table, args.left))
     right = estructure.compiled(_lookup(table, args.right))
     kind = RelationKind(args.rel)
     n = prebisim.first_failing_level(left, right, kind)
-    if n is None or n > args.max_level:
+    if n is None or n > max_level:
         print("stable")
         return EXIT_RELATED
     print(n)
@@ -218,10 +226,12 @@ def _run_approx(args) -> int:
 
 
 def _run_trees(args) -> int:
+    depth = _natural(args.depth, "--depth")
+    width = _natural(args.width, "--width")
     table = _load(args.file)
     state = estructure.compiled(_lookup(table, args.alphabet_from))
     alphabet = estructure.sort(state)
-    for t in testgen.enumerate_trees(alphabet, args.depth, args.width):
+    for t in testgen.enumerate_trees(alphabet, depth, width):
         print(grammar.format_tree(t))
     return EXIT_RELATED
 

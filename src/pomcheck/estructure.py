@@ -19,10 +19,10 @@ extensions, grown from the empty configuration, with each
 configuration's enabled events derived from its parent's: adding ``e``
 drops ``e`` and its conflicts, and enables the events ``e`` causes
 immediately whose causes are then all present and which conflict with
-none of them.  :func:`configurations` and the action table read this graph,
-building each configuration's event set once, when one of them is first
-asked for; the transition tables and the posetal product read the masks
-directly.
+none of them.  :func:`configurations` and :func:`action_transitions`
+read this graph, building each configuration's event set once, when one
+of them is first asked for; the transition tables and the posetal
+product read the masks directly.
 
 The pomset and step kinds each have one table, :class:`Transitions`,
 built once per structure and only for the kind that is asked for: the
@@ -61,7 +61,7 @@ class EventMasks(NamedTuple):
     ``succ`` describes ``es.events[i]``: its label, and the masks of its
     causes, of the events in conflict with it, of the events it causes
     and of the events it causes immediately (with no event in between).
-    ``divergent`` holds the divergent configurations as masks.
+    ``divergent`` is the set of divergent configurations, as masks.
     """
 
     labels: tuple
@@ -608,20 +608,15 @@ def step_transitions(s: ProcessState) -> frozenset:
     return _decoded(s, *_row(s, True))
 
 
-@derived_table
-def _action_transition_table(es: PrimeEventStructure):
-    """config -> tuple of (label, added event, target config), in event order."""
-    events, sets = es.events, _config_sets(es)
-    return {sets[c]: tuple([(lab, events[i], sets[d]) for lab, i, d in edges])
-            for c, edges in _config_graph(es).items()}
-
-
 def action_transitions(s: ProcessState) -> frozenset:
-    """Single-action transitions, labelled by the added event's label."""
-    table = _action_transition_table(s.structure)
-    return frozenset(
-        (lab, ProcessState(s.structure, d)) for lab, _e, d in table[s.config]
-    )
+    """Single-action transitions, labelled by the added event's label.
+
+    Decoded from ``s``'s row of the configuration graph.
+    """
+    es = s.structure
+    sets = _config_sets(es)
+    return frozenset((lab, ProcessState(es, sets[d]))
+                     for lab, _, d in _config_graph(es)[config_mask(s)])
 
 
 def divergent(s: ProcessState) -> bool:

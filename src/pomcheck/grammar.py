@@ -297,7 +297,7 @@ def format_pomset(p: Pomset) -> str:
 def format_tree(t: SyncTree) -> str:
     """The term of ``t``, written left to right from an explicit stack.
 
-    The stack holds the text and the subtrees still to be written, last
+    The stack keeps the text and the subtrees still to be written, last
     first, so depth is not bounded by the recursion limit.
     """
     out = []

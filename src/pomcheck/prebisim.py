@@ -7,8 +7,10 @@ bisimulation functional of :mod:`pomcheck._engine` with that one guard
 added.  Every operation here reads the engine's rank map, which records
 the Kleene round in which each node drops out: greatest
 prebisimulations, level-n approximants and their omega limits, the
-restriction-indexed stratification and the finitary preorder computed
-over a dominating finite restriction set.  On top of them sit the
+restriction-indexed stratification and the finitary preorder.  On
+these finite models the finitary preorder is the greatest
+prebisimulation (:func:`fin_preorder`), so no operation here passes the
+dominating restriction set to the engine.  On top of them sit the
 tree-test characterization and the induced kernel equivalences.
 """
 
@@ -18,20 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Union
 
-from ._engine import (
-    OMEGA,
-    demand,
-    diverges,
-    holds,
-    ranks,
-    split,
-    stable_depth,
-    sub_triples,
-    successors,
-    table_of,
-    triple_demands,
-    triple_transitions,
-)
+from ._engine import OMEGA, ranks, stable_depth, table_of
 from .equiv import RelationKind, Verdict, Witness, verdict
 from .errors import StructuralError
 from .pomset import Pomset
@@ -54,80 +43,6 @@ class StratParams:
 def _check_level(n):
     if n != OMEGA and (not isinstance(n, int) or n < 0):
         raise StructuralError(f"level must be a natural number or {OMEGA!r}")
-
-
-# ---------------------------------------------------------------------------
-# one application of the functional (the engine's, over explicit relations)
-# ---------------------------------------------------------------------------
-
-
-def _grouped(state, step_only):
-    groups = {}
-    for u, s2 in successors(state, step_only):
-        groups.setdefault(u, []).append(s2)
-    return groups
-
-
-def _transfers(gx, gy):
-    """The transfer obligations of a state pair, as :func:`demand` reads them.
-
-    ``gx`` and ``gy`` map each label to the successors of the left and
-    right state under it; candidates are successor pairs.
-    """
-    fwd = [(u, [(x2, y2) for y2 in gy.get(u, ())])
-           for u, xs in gx.items() for x2 in xs]
-    bwd = [(v, [(x2, y2) for x2 in gx.get(v, ())])
-           for v, ys in gy.items() for y2 in ys]
-    return split(fwd), split(bwd)
-
-
-def apply_F(relation, space, kind: RelationKind, restriction=None):
-    """One application of the prebisimulation functional over ``space``.
-
-    Returns the pairs of ``space`` whose forward transfer holds w.r.t.
-    ``relation`` and whose backward transfer and convergence requirement
-    hold when the left state converges (guarded additionally by
-    ``initials <= restriction`` when a restriction set is given).
-    """
-    if kind.posetal:
-        raise StructuralError("apply_F is for the pomset/step kinds; see apply_F_hp")
-    step_only = kind is RelationKind.STEP
-    relation = frozenset(relation)
-
-    def keeps(x, y):
-        fwd, bwd = _transfers(_grouped(x, step_only), _grouped(y, step_only))
-        return holds(
-            demand(fwd, bwd, diverges(x), diverges(y), restriction, True),
-            relation,
-        )
-
-    return frozenset((x, y) for (x, y) in space if keeps(x, y))
-
-
-def _prune_downward(rel, subs):
-    while True:
-        keep = frozenset(t for t in rel if all(s in rel for s in subs[t]))
-        if keep == rel:
-            return rel
-        rel = keep
-
-
-def apply_F_hp(relation, es1, es2, hereditary=False, acts=None):
-    """One application of the posetal prebisimulation functional.
-
-    Works over the full posetal product of ``es1`` and ``es2``; with
-    ``hereditary`` the result is intersected with its downward-closure-
-    stable subset.
-    """
-    relation = frozenset(relation)
-    fwd, bwd = triple_transitions(es1, es2)
-    out = frozenset(
-        t for t, groups in triple_demands(fwd, bwd, es1, es2, acts, True).items()
-        if holds(groups, relation)
-    )
-    if hereditary:
-        out = _prune_downward(out, sub_triples(es1, es2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +116,12 @@ def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
 def fin_preorder(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
     """The finitary preorder: stratified limit over the dominating set.
 
-    The dominating set holds every transition label of both systems, so
+    The dominating set contains every transition label of both systems, so
     it drops no obligation and guards no initial: on these finite models
-    the finitary preorder is the greatest prebisimulation, and
-    :func:`~pomcheck._engine.ranks` reads the set as no restriction.
+    the finitary preorder is the greatest prebisimulation, and its
+    verdict, level and witness are :func:`prebisim`'s.
     """
-    pmax = dominating_restriction(p, q, kind)
-    return verdict(_ranks(p, q, kind, pmax), want_witness, pmax)
+    return prebisim(p, q, kind, want_witness)
 
 
 def finitary_via_trees(
@@ -229,13 +143,13 @@ def finitary_via_trees(
     """
     from . import testgen
 
-    pmax = dominating_restriction(p, q, kind)
-    r = _ranks(p, q, kind, pmax)
+    r = _ranks(p, q, kind, None)
     if r.level is not None:
         t = testgen.distinguishing_tree(p, q, kind)
         return Verdict(False, witness=Witness("tree", t), level=r.level)
     if max_depth is None:
-        max_depth = stable_depth(p, q, kind, pmax, r) + 1
+        max_depth = stable_depth(p, q, kind, r=r) + 1
+    pmax = dominating_restriction(p, q, kind)  # the test trees' alphabet
     checked = 0
     exhausted = False
     for t in testgen.enumerate_trees(pmax, max_depth, max_width):

@@ -85,7 +85,7 @@ def characteristic_tree(
 
     A summand ``U : characteristic_tree(state', n-1)`` is emitted for
     every restricted transition; a divergence summand is added when the
-    state diverges or has an initial outside the restriction set, so the
+    state is divergent or has an initial outside the restriction set, so the
     tree never over-constrains convergence.  Level 0 is the fully
     unspecified tree.  The contract (the tree lies below ``state`` and
     tests exactly the level-``n`` approximant) is verified by the test
@@ -132,7 +132,7 @@ def _candidates(p, q, kind: RelationKind, pmax, n):
         # posetal check against concurrent processes; pomset-prefixed
         # trees built from the pomset stratification are a second shot
         pmax_pom = pb.dominating_restriction(p, q, RelationKind.POMSET)
-        m = pb.first_failing_level(p, q, RelationKind.POMSET, pmax_pom)
+        m = pb.first_failing_level(p, q, RelationKind.POMSET)
         if m is not None:
             yield characteristic_tree(p, pmax_pom, m, RelationKind.POMSET)
     if (isinstance(p, ProcessState) and not p.config
@@ -143,7 +143,7 @@ def _candidates(p, q, kind: RelationKind, pmax, n):
 def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
     """A verified tree below ``p`` but not below ``q``, if one exists.
 
-    Returns ``None`` when the finitary preorder holds.  The extracted
+    Returns ``None`` when the pair is in the finitary preorder.  The extracted
     tree is re-verified against both processes before being returned; a
     verification failure raises, signalling a bug.  When ``p`` is the
     root of a compiled tree, that tree is the last candidate: it
@@ -152,10 +152,10 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
     """
     from . import prebisim as pb
 
-    pmax = pb.dominating_restriction(p, q, kind)
-    n = pb.first_failing_level(p, q, kind, pmax)
+    n = pb.first_failing_level(p, q, kind)
     if n is None:
         return None
+    pmax = pb.dominating_restriction(p, q, kind)
     for chi in _candidates(p, q, kind, pmax, n):
         ts = tree_as_process(chi, kind)
         if pb.prebisim(ts, p, kind).related and not pb.prebisim(ts, q, kind).related:

@@ -9,15 +9,33 @@ and round bookkeeping; tests compare the library's answers with them.
 The posetal fixpoints run over the enumerated product of
 ``posetal_oracle``, not over the library's.  :func:`rescan_rounds` is
 the engine's earlier round loop, which re-scans every group of every
-touched node in each round.
+touched node in each round.  :func:`apply_F` and :func:`apply_F_hp`
+are one application of the library's functional (``_engine.demand``)
+to an explicit relation, for the monotonicity and unfolding tests.
 """
 
 from functools import lru_cache
 
-from pomcheck._engine import ROOT_TRIPLE, diverges, pair_space, successors
+from pomcheck._engine import demand, pair_space, successors
 from pomcheck.equiv import RelationKind, Witness
+from pomcheck.errors import StructuralError
+from pomcheck.estructure import divergent
 from pomcheck.pomset import singleton
-from posetal_oracle import sub_triples, triple_space, triple_transitions
+from pomcheck.synctree import SyncTree
+from posetal_oracle import (
+    ROOT_TRIPLE,
+    split,
+    sub_triples,
+    triple_demands,
+    triple_space,
+    triple_transitions,
+)
+
+
+def diverges(state) -> bool:
+    if isinstance(state, SyncTree):
+        return state.divergent
+    return divergent(state)
 
 
 def _acts(restriction):
@@ -287,6 +305,72 @@ def failure_witness(p, q, kind, restriction=None):
         if not any(v == u and (p2, q2) in prev for u, p2 in successors(p, step_only)):
             return Witness("pomset", v)
     return Witness("level", idx)
+
+
+# ---------------------------------------------------------------------------
+# one application of the library's functional, over explicit relations
+# ---------------------------------------------------------------------------
+
+
+def _grouped(state, step_only):
+    groups = {}
+    for u, s2 in successors(state, step_only):
+        groups.setdefault(u, []).append(s2)
+    return groups
+
+
+def _transfers(gx, gy):
+    """The transfer obligations of a state pair, as ``demand`` reads them.
+
+    ``gx`` and ``gy`` map each label to the successors of the left and
+    right state under it; candidates are successor pairs.
+    """
+    fwd = [(u, [(x2, y2) for y2 in gy.get(u, ())])
+           for u, xs in gx.items() for x2 in xs]
+    bwd = [(v, [(x2, y2) for x2 in gx.get(v, ())])
+           for v, ys in gy.items() for y2 in ys]
+    return split(fwd), split(bwd)
+
+
+def apply_F(relation, space, kind, restriction=None):
+    """One application of the prebisimulation functional over ``space``.
+
+    Returns the pairs of ``space`` whose forward transfer holds w.r.t.
+    ``relation`` and whose backward transfer and convergence requirement
+    hold when the left state converges (guarded additionally by
+    ``initials <= restriction`` when a restriction set is given).
+    """
+    if kind.posetal:
+        raise StructuralError("apply_F is for the pomset/step kinds; see apply_F_hp")
+    step_only = kind is RelationKind.STEP
+    relation = frozenset(relation)
+
+    def keeps(x, y):
+        fwd, bwd = _transfers(_grouped(x, step_only), _grouped(y, step_only))
+        return _holds(
+            demand(fwd, bwd, diverges(x), diverges(y), restriction, True),
+            relation,
+        )
+
+    return frozenset((x, y) for (x, y) in space if keeps(x, y))
+
+
+def apply_F_hp(relation, es1, es2, hereditary=False, acts=None):
+    """One application of the posetal prebisimulation functional.
+
+    Works over the full enumerated posetal product of ``es1`` and
+    ``es2``; with ``hereditary`` the result is intersected with its
+    downward-closure-stable subset.
+    """
+    relation = frozenset(relation)
+    fwd, bwd = triple_transitions(es1, es2)
+    out = frozenset(
+        t for t, groups in triple_demands(fwd, bwd, es1, es2, acts, True).items()
+        if _holds(groups, relation)
+    )
+    if hereditary:
+        out = _prune_downward(out, sub_triples(es1, es2))
+    return out
 
 
 # ---------------------------------------------------------------------------

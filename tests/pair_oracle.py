@@ -22,12 +22,12 @@ frozenset-keyed form, for the table tests.
 
 from pomcheck import estructure as es_mod
 from pomcheck import synctree as st_mod
-from pomcheck._engine import Ranks, demand, diverges, successors
+from pomcheck._engine import Ranks, demand, successors
 from pomcheck.estructure import _config_graph, _config_sets, _event_masks
 from pomcheck.estructure import _residual_pomset
 from pomcheck.pomset import singleton, step_of
 from pomcheck.synctree import OMEGA, SyncTree
-from kleene_oracle import rescan_rounds
+from kleene_oracle import diverges, rescan_rounds
 
 
 def pomset_transition_table(es):

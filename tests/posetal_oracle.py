@@ -9,11 +9,16 @@ test, its buckets and its hp quotient, and they read the configurations
 and action tables of ``table_oracle``, not the library's configuration
 graph; ``tests/test_posetal.py`` compares the library's product with
 them, and ``kleene_oracle`` runs its reference fixpoints over them.
+:func:`triple_demands` applies the library's ``_engine.demand`` to
+every triple of such triple-keyed tables.
 """
 
 from functools import lru_cache
 
+from pomcheck._engine import demand
 from table_oracle import action_table, configurations
+
+ROOT_TRIPLE = (frozenset(), frozenset(), frozenset())
 
 
 def history_isos(es1, c, es2, d):
@@ -116,3 +121,23 @@ def triple_transitions(es1, es2):
         fwd[(c, f, d)] = tuple(fw)
         bwd[(c, f, d)] = tuple(bw)
     return fwd, bwd
+
+
+def split(obligations):
+    """``(label, candidates)`` obligations as the ``(labels, groups)``
+    pair that ``_engine.demand`` reads."""
+    return tuple(zip(*obligations)) or ((), ())
+
+
+def triple_demands(fwd, bwd, es1, es2, acts, pre) -> dict:
+    """The ``_engine.demand`` of every triple of a posetal product.
+
+    ``fwd`` and ``bwd`` are the product's transfer tables; ``acts``
+    (``None`` for none) restricts the observed actions.
+    """
+    div1, div2 = es1.divergent_configs, es2.divergent_configs
+    return {
+        t: demand(split(fw), split(bwd[t]), t[0] in div1, t[2] in div2,
+                  acts, pre)
+        for t, fw in fwd.items()
+    }

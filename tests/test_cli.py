@@ -256,6 +256,19 @@ class TestInputErrors:
                            procfile)
         assert code == EXIT_INPUT and "level" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("approx", "--left", "A", "--right", "AW", "--rel", "pomset",
+          "--max-level", "-1"), "--max-level"),
+        (("trees", "--alphabet-from", "A", "--depth", "-2", "--width", "1"),
+         "--depth"),
+        (("trees", "--alphabet-from", "A", "--depth", "1", "--width", "-1"),
+         "--width"),
+    ])
+    def test_negative_bound_rejected(self, procfile, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, procfile)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {flag} must be a natural number\n"
+
     def test_tree_native_rejects_posetal(self, procfile, capsys):
         code, _, err = run(capsys, "check", "--left", "P", "--right", "Q",
                            "--rel", "hp", "--semantics", "tree-native",

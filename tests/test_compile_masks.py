@@ -109,8 +109,9 @@ def test_long_prefix_tables_match_oracle():
         es = es_mod.compile_tree(t)[0]
         configs = table_oracle.configurations(es)
         assert es_mod.configurations(es) == configs
-        assert es_mod._action_transition_table(es) == \
-            table_oracle.action_table(es, configs)
+        for c, rows in table_oracle.action_table(es, configs).items():
+            assert es_mod.action_transitions(es_mod.ProcessState(es, c)) == \
+                {(lab, es_mod.ProcessState(es, d)) for lab, _, d in rows}
 
 
 def _agree(key_built, eager):

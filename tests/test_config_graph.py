@@ -1,10 +1,12 @@
 """The configuration graph of bitmasks against the frozenset layer it
 replaced (``tests/table_oracle.py``).
 
-Configurations, action rows (in order), step rows (as multisets) and
-each configuration's relevant events must equal those of the old scans,
-on compiled trees and on hand-built structures whose conflicts are not
-cone against cone and whose event ids are not their positions.
+Configurations, action transitions, step rows (as multisets) and each
+configuration's relevant events must equal those of the old scans, on
+compiled trees and on hand-built structures whose conflicts are not
+cone against cone and whose event ids are not their positions; the
+graph's rows must list their events in ascending order, as the old
+scans did.
 """
 
 import random
@@ -92,8 +94,9 @@ def test_graph_tables_match_oracle(family):
         sets = es_mod._config_sets(es)
         assert sets.keys() == es_mod._config_graph(es).keys()
         assert all(_events(es, c) == cset for c, cset in sets.items())
-        assert es_mod._action_transition_table(es) == \
-            oracle.action_table(es, configs)
+        for c, rows in oracle.action_table(es, configs).items():
+            assert es_mod.action_transitions(ProcessState(es, c)) == \
+                {(lab, ProcessState(es, d)) for lab, _, d in rows}
         steps = pair_oracle.decoded(es, es_mod._step_table(es))
         want = oracle.step_table(es, configs)
         assert steps.keys() == want.keys()
@@ -132,4 +135,5 @@ def test_conflicts_that_are_not_cones():
         frozenset(), frozenset({7}), frozenset({40}), frozenset({7, 40}),
         frozenset({7, 12}),
     }
-    assert es_mod._action_transition_table(es)[frozenset({7, 40})] == ()
+    assert es_mod.action_transitions(
+        ProcessState(es, frozenset({7, 40}))) == frozenset()

@@ -5,7 +5,8 @@ import importlib
 import pkgutil
 
 import pomcheck
-from conftest import chain_tree
+from conftest import chain_tree, f1_terms
+from pomcheck import _engine
 from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
 from pomcheck.cli import main
@@ -102,10 +103,10 @@ def test_kernel_queries_leave_no_cyclic_garbage(tmp_path, capsys):
 
 def _check_derived(es, kind):
     """Only int tables in ``es.derived``: no configuration event sets,
-    no frozenset-keyed table, no set views of the masks, and for the
-    step kind no pomset table."""
+    no frozenset- or triple-keyed table, no set views of the masks, and
+    for the step kind no pomset table."""
     unbuilt = {es_mod._config_sets.__wrapped__,
-               es_mod._action_transition_table.__wrapped__,
+               _engine._triple_tables.__wrapped__,
                es_mod._cause_sets.__wrapped__,
                es_mod._conflict_sets.__wrapped__,
                es_mod._divergent_sets.__wrapped__}
@@ -119,12 +120,9 @@ def _check_derived(es, kind):
                     and any(isinstance(k, frozenset) for k in value))
 
 
-def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
-    # pomset and step queries read int tables only, through the library
-    # and through the command line
-    table = parse(F1)
-    pairs = [(table["Q"], table["P"]), (chain_tree(12), chain_tree(11))]
-    for kind in (RelationKind.POMSET, RelationKind.STEP):
+def _library_queries(pairs, kinds):
+    """Every query of each tree pair, each structure checked after."""
+    for kind in kinds:
         for left, right in pairs:
             p, q = compiled(left), compiled(right)
             bisim(p, q, kind, want_witness=True)
@@ -134,6 +132,9 @@ def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
             for es in (p.structure, q.structure):
                 _check_derived(es, kind)
 
+
+def _cli_queries(text, kinds, tmp_path, monkeypatch):
+    """Each command on ``Q`` and ``P`` of ``text``, its structures checked."""
     made = []
 
     def recorded(t):
@@ -143,9 +144,9 @@ def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(es_mod, "compiled", recorded)
     path = tmp_path / "f1.pom"
-    path.write_text(F1, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     names = ["--left", "Q", "--right", "P"]
-    for kind in (RelationKind.POMSET, RelationKind.STEP):
+    for kind in kinds:
         rel = ["--rel", kind.value]
         for argv in (["check", *names, *rel, "--witness", "--json"],
                      ["check", *names, *rel, "--pre", "--witness"],
@@ -154,9 +155,35 @@ def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
                      ["explain", *names, *rel]):
             made.clear()
             assert main([*argv, str(path)]) in (0, 1)
-            assert len(made) == 2
+            # hp/hhp explain also compiles each candidate it re-verifies
+            assert len(made) == 2 or kind.posetal and argv[0] == "explain"
             for es in made:
                 _check_derived(es, kind)
+
+
+def test_step_queries_build_no_pomset_table(tmp_path, capsys, monkeypatch):
+    # pomset and step queries read int tables only, through the library
+    # and through the command line
+    table = parse(F1)
+    kinds = (RelationKind.POMSET, RelationKind.STEP)
+    _library_queries([(table["Q"], table["P"]),
+                      (chain_tree(12), chain_tree(11))], kinds)
+    _cli_queries(F1, kinds, tmp_path, monkeypatch)
+    capsys.readouterr()
+
+
+def test_posetal_queries_build_no_decoded_table(tmp_path, capsys,
+                                                monkeypatch):
+    # hp and hhp queries read the int product and the configuration
+    # graph; the triple-keyed tables and the configuration event sets
+    # are decoded only for the benchmark's traced replay
+    text = "".join(f"proc {name} = {term}\n"
+                   for name, term in zip("PQR", f1_terms("aab")))
+    table = parse(text)
+    kinds = (RelationKind.HP, RelationKind.HHP)
+    _library_queries([(table[a], table[b]) for a in "PQR" for b in "PQR"],
+                     kinds)
+    _cli_queries(text, kinds, tmp_path, monkeypatch)
     capsys.readouterr()
 
 

@@ -18,6 +18,7 @@ import pytest
 import pair_oracle as oracle
 from conftest import chain_tree, f1_terms
 from pomcheck import _engine
+from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
 from pomcheck.equiv import RelationKind, bisim, verdict
 from pomcheck.estructure import ProcessState, compiled, configurations
@@ -147,6 +148,25 @@ def test_dominating_restriction_drops_nothing(family):
                 _engine.ranks(p, q, kind, None, True).rank
             assert pb.fin_preorder(p, q, kind, want_witness=True) == \
                 pb.prebisim(p, q, kind, want_witness=True)
+
+
+def test_tree_native_fin_preorder_builds_each_table_once(monkeypatch):
+    # one tree table per side, as for prebisim: the dominating set,
+    # which would read both tables again, is not built
+    left = parse_term("{a,b}:(c:0) + a:W")
+    right = parse_term("{a,b}:(c:W) + a:0")
+    built, build = [], es_mod.tree_table
+
+    def counted(t, step_only):
+        built.append(t)
+        return build(t, step_only)
+
+    monkeypatch.setattr(es_mod, "tree_table", counted)
+    for kind in PAIR_KINDS:
+        for query in (pb.prebisim, pb.fin_preorder):
+            built.clear()
+            query(left, right, kind, want_witness=True)
+            assert built == [left, right]
 
 
 def test_tree_table_lists_each_summand_once():

@@ -64,12 +64,12 @@ def _full_ranks(es1, es2, tables, restriction, pre):
     if restriction is not None:
         acts = {u.label_multiset()[0] for u in restriction}
     fwd, bwd = tables
-    demands = _engine.triple_demands(fwd, bwd, es1, es2, acts, pre)
+    demands = oracle.triple_demands(fwd, bwd, es1, es2, acts, pre)
 
     def labelled(obligations):
         return tuple((singleton(lab), cands) for lab, cands in obligations)
 
-    root = _engine.ROOT_TRIPLE
+    root = oracle.ROOT_TRIPLE
     return _engine.Ranks(_engine._rounds(demands), root, labelled(fwd[root]),
                          labelled(bwd[root]), len(demands))
 
@@ -219,14 +219,14 @@ def test_positions_are_not_events():
                 acts = None
                 if restriction is not None:
                     acts = {u.label_multiset()[0] for u in restriction}
-                demands = _engine.triple_demands(ofwd, obwd, es1, es2, acts, pre)
+                demands = oracle.triple_demands(ofwd, obwd, es1, es2, acts, pre)
                 rank = kleene_oracle.rescan_rounds(
                     demands, ofwd if hereditary else None)
                 r = _engine.ranks(p, q, kind, restriction, pre)
                 assert r.size == len(nodes)
                 for t in space:
                     assert r.rank.get(node[keys[t]]) == rank.get(t)
-                root = _engine.ROOT_TRIPLE
+                root = oracle.ROOT_TRIPLE
                 full = _engine.Ranks(
                     rank, root,
                     tuple((singleton(lab), c) for lab, c in ofwd[root]),
