@@ -30,15 +30,14 @@ of both sides passes none.
 The hp/hhp kinds run the same rounds over the posetal product, grown
 from the root triple in one pass over each structure's configuration
 graph, with configurations as bitmasks and each isomorphism packed into
-an int, and kept on the left structure (the right one joins its key as
-a weak reference); hp runs over the product quotiented by relevant
-events.
+an int, and built afresh by each query that reads it; hp runs over the
+product quotiented by relevant events.
 
 No query reads :func:`successors`, :func:`pair_space` or the
 triple-keyed tables of :func:`triple_space`, :func:`triple_transitions`
-and :func:`sub_triples`, which are decoded from the int product only
-when asked for; the benchmark's traced replay calls them layer by
-layer, and the test oracles read them.
+and :func:`sub_triples`, each of which builds the int product and
+decodes it; the benchmark's traced replay calls them layer by layer,
+and the test oracles read them.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import Optional
 from . import estructure as es_mod
 from . import synctree as st_mod
 from .errors import StructuralError
-from .estructure import PrimeEventStructure, ProcessState, derived_table
+from .estructure import PrimeEventStructure, ProcessState
 from .pomset import singleton
 from .synctree import SyncTree
 
@@ -150,10 +149,11 @@ def _slot_width(es2: PrimeEventStructure) -> int:
     return len(es2.events).bit_length()
 
 
-@derived_table
 def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                      hereditary: bool):
     """The posetal product grown from the root triple in one pass.
+
+    Built on each call; the caller reads it and lets it go.
 
     Returns ``(nodes, fwd, bwd)``, indexed by node; node 0 is the root,
     and nodes are numbered in the order the pass meets them.
@@ -266,7 +266,6 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     return nodes, fwd, bwd
 
 
-@derived_table
 def _triple_tables(es1: PrimeEventStructure, es2: PrimeEventStructure):
     """The full product keyed by triples: ``(fwd, bwd, subs)``.
 
@@ -584,14 +583,14 @@ def ranks(p, q, kind: RelationKind, restriction=None, pre=False) -> Ranks:
     return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, pre)
 
 
-def stable_depth(p, q, kind: RelationKind, restriction=None, r=None) -> int:
+def stable_depth(p, q, kind: RelationKind, r=None) -> int:
     """Rounds until the prebisimulation functional is stable on the whole product.
 
     Unlike the root's rank this covers pairs unreachable from (p, q).
     An hp/hhp rank map already covers the whole product: a caller that
-    has ``ranks(p, q, kind, restriction, True)`` passes it as ``r``.
+    has ``ranks(p, q, kind, None, True)`` passes it as ``r``.
     """
     if kind.posetal:
-        return (r or ranks(p, q, kind, restriction, True)).depth
-    return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, True,
+        return (r or ranks(p, q, kind, None, True)).depth
+    return _pair_ranks(p, q, kind is RelationKind.STEP, None, True,
                        everywhere=True).depth

@@ -61,28 +61,25 @@ def extend_iso(f, e_left, e_right, label_left, label_right):
     return f | {(e_left, e_right)}
 
 
-def failure_witness(r: Ranks, restriction=None) -> Witness:
+def failure_witness(r: Ranks) -> Witness:
     """The root's first transfer violation at the level it falls out.
 
-    Scans the root's forward then backward obligations (those labelled
-    inside ``restriction`` when one is given) for one whose every
-    candidate was already removed in an earlier round; falls back to the
-    level itself when the root fails on convergence alone.
+    Scans the root's forward then backward obligations for one whose
+    every candidate was already removed in an earlier round; falls back
+    to the level itself when the root fails on convergence alone.
     """
     level = r.level
     for lab, cands in r.fwd + r.bwd:
-        if restriction is not None and lab not in restriction:
-            continue
         if all(0 < r.rank.get(c, level) < level for c in cands):
             return Witness("pomset", lab)
     return Witness("level", level)
 
 
-def verdict(r: Ranks, want_witness: bool, restriction=None) -> Verdict:
+def verdict(r: Ranks, want_witness: bool) -> Verdict:
     """The root's verdict, with its level and optionally its witness."""
     if r.level is None:
         return Verdict(True, level=OMEGA)
-    w = failure_witness(r, restriction) if want_witness else None
+    w = failure_witness(r) if want_witness else None
     return Verdict(False, witness=w, level=r.level)
 
 

@@ -42,7 +42,6 @@ and keep nothing decoded.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import wraps
 from typing import Dict, FrozenSet, NamedTuple, Tuple
@@ -102,8 +101,7 @@ class PrimeEventStructure:
     (:func:`compile_tree` sets it; ``None`` for one built directly).
     """
 
-    __slots__ = ("events", "labels", "_masks", "derived", "tree",
-                 "__weakref__")
+    __slots__ = ("events", "labels", "_masks", "derived", "tree")
 
     def __init__(self, events, labels, causes, conflicts, divergent_configs):
         events = tuple(sorted(events))
@@ -175,25 +173,21 @@ class PrimeEventStructure:
         return f"PrimeEventStructure({len(self.events)} events)"
 
 
-def _key_part(a):
-    return weakref.ref(a) if isinstance(a, PrimeEventStructure) else a
-
-
 def derived_table(fn):
-    """Memoize ``fn(es, *args)`` in ``es.derived``; ``args`` join the key.
+    """Memoize ``fn(es)`` in ``es.derived``, keyed by ``fn``.
 
-    A structure argument joins the key as a weak reference, so a table of
-    two structures makes no reference cycle between them: each dies when
-    its last reference goes.  A table keyed by a structure that died
-    stays until ``es`` dies.
+    Only tables of one structure are memoized, so each lives exactly as
+    long as the structure it describes.  A product of two structures is
+    built per query: kept on one of them, it would live as long as that
+    one, and a structure reused across queries would keep every product
+    it was ever checked against.
     """
 
     @wraps(fn)
-    def table(es, *args):
-        key = (fn, *map(_key_part, args))
-        value = es.derived.get(key)
+    def table(es):
+        value = es.derived.get(fn)
         if value is None:
-            value = es.derived[key] = fn(es, *args)
+            value = es.derived[fn] = fn(es)
         return value
 
     return table

@@ -145,7 +145,7 @@ def finitary_via_trees(
 
     r = _ranks(p, q, kind, None)
     if r.level is not None:
-        t = testgen.distinguishing_tree(p, q, kind)
+        t = testgen._distinguishing_tree(p, q, kind, r.level)
         return Verdict(False, witness=Witness("tree", t), level=r.level)
     if max_depth is None:
         max_depth = stable_depth(p, q, kind, r=r) + 1

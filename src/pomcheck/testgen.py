@@ -84,8 +84,9 @@ def characteristic_tree(
     """Finite tree characterizing the level-``n`` stratified approximant.
 
     A summand ``U : characteristic_tree(state', n-1)`` is emitted for
-    every restricted transition; a divergence summand is added when the
-    state is divergent or has an initial outside the restriction set, so the
+    every restricted transition (every transition when ``restriction``
+    is ``None``); a divergence summand is added when the state is
+    divergent or has an initial outside the restriction set, so the
     tree never over-constrains convergence.  Level 0 is the fully
     unspecified tree.  The contract (the tree lies below ``state`` and
     tests exactly the level-``n`` approximant) is verified by the test
@@ -94,7 +95,6 @@ def characteristic_tree(
     Built bottom-up on an explicit stack, once per (state, level), so
     depth is not bounded by the recursion limit.
     """
-    restriction = frozenset(restriction)
     if n <= 0:
         return OMEGA
     root, out, divergent = _kind_rows(state, kind)
@@ -106,35 +106,35 @@ def characteristic_tree(
             stack.pop()
             continue
         succs = out(x)
+        kept = succs
+        if restriction is not None:
+            kept = [(u, y) for u, y in succs if u in restriction]
         if m > 1:
-            missing = [(y, m - 1) for u, y in succs
-                       if u in restriction and (y, m - 1) not in trees]
+            missing = [(y, m - 1) for _, y in kept if (y, m - 1) not in trees]
             if missing:
                 stack += missing
                 continue
         stack.pop()
         trees[x, m] = SyncTree(
-            [(u, trees[y, m - 1] if m > 1 else OMEGA)
-             for u, y in succs if u in restriction],
-            divergent(x) or any(u not in restriction for u, _ in succs),
+            [(u, trees[y, m - 1] if m > 1 else OMEGA) for u, y in kept],
+            divergent(x) or len(kept) < len(succs),
         )
     return trees[root, n]
 
 
-def _candidates(p, q, kind: RelationKind, pmax, n):
+def _candidates(p, q, kind: RelationKind, n):
     """The candidate trees of :func:`distinguishing_tree`, each made
     only when the one before it has failed."""
     from . import prebisim as pb
 
-    yield characteristic_tree(p, pmax, n, kind)
+    yield characteristic_tree(p, None, n, kind)
     if kind.posetal:
         # action-prefixed trees linearize histories and often fail the
         # posetal check against concurrent processes; pomset-prefixed
         # trees built from the pomset stratification are a second shot
-        pmax_pom = pb.dominating_restriction(p, q, RelationKind.POMSET)
         m = pb.first_failing_level(p, q, RelationKind.POMSET)
         if m is not None:
-            yield characteristic_tree(p, pmax_pom, m, RelationKind.POMSET)
+            yield characteristic_tree(p, None, m, RelationKind.POMSET)
     if (isinstance(p, ProcessState) and not p.config
             and p.structure.tree is not None):
         yield p.structure.tree
@@ -153,10 +153,15 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
     from . import prebisim as pb
 
     n = pb.first_failing_level(p, q, kind)
-    if n is None:
-        return None
-    pmax = pb.dominating_restriction(p, q, kind)
-    for chi in _candidates(p, q, kind, pmax, n):
+    return None if n is None else _distinguishing_tree(p, q, kind, n)
+
+
+def _distinguishing_tree(p, q, kind: RelationKind, n: int) -> SyncTree:
+    """:func:`distinguishing_tree` of a pair that fails at level ``n``,
+    for a caller that already has the level."""
+    from . import prebisim as pb
+
+    for chi in _candidates(p, q, kind, n):
         ts = tree_as_process(chi, kind)
         if pb.prebisim(ts, p, kind).related and not pb.prebisim(ts, q, kind).related:
             return chi

@@ -124,7 +124,7 @@ def test_finitary_via_trees_depth_matches_oracle(kind, tree_native):
     for p, q in pairs:
         pmax = pb.dominating_restriction(p, q, kind)
         levels, _ = oracle.levels(p, q, kind, pmax)
-        assert _engine.stable_depth(p, q, kind, pmax) + 1 == len(levels)
+        assert _engine.stable_depth(p, q, kind) + 1 == len(levels)
         if kind.posetal or tree_native:
             continue
         got = pb.finitary_via_trees(p, q, kind, max_trees=60)
@@ -227,11 +227,10 @@ ROUND_FAMILIES = {
 def test_rank_maps_match_rescan_oracle(monkeypatch, kind, tree_native, family):
     calls = _checked_rounds(monkeypatch)
     for p, q in _processes(ROUND_FAMILIES[family](), tree_native):
-        pmax = pb.dominating_restriction(p, q, kind)
         bisim(p, q, kind, want_witness=True)
         pb.prebisim(p, q, kind, want_witness=True)
         pb.fin_preorder(p, q, kind, want_witness=True)
-        _engine.stable_depth(p, q, kind, pmax)
+        _engine.stable_depth(p, q, kind)
     assert calls
     assert all(calls) == any(calls) == (kind is RelationKind.HHP)
 

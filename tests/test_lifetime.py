@@ -3,10 +3,10 @@
 import gc
 import importlib
 import pkgutil
+from types import FunctionType
 
 import pomcheck
 from conftest import chain_tree, f1_terms
-from pomcheck import _engine
 from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
 from pomcheck.cli import main
@@ -78,8 +78,8 @@ def test_queries_leave_no_cyclic_garbage():
 
 
 def test_kernel_queries_leave_no_cyclic_garbage(tmp_path, capsys):
-    # asking both directions keeps a product table on each structure,
-    # keyed by the other: the key must not hold the other alive
+    # asking both directions reads each structure's tables and builds a
+    # product per query: neither structure may end up holding the other
     path = tmp_path / "f1.pom"
     path.write_text(F1, encoding="utf-8")
     gc.collect()
@@ -102,11 +102,10 @@ def test_kernel_queries_leave_no_cyclic_garbage(tmp_path, capsys):
 
 
 def _check_derived(es, kind):
-    """Only int tables in ``es.derived``: no configuration event sets,
-    no frozenset- or triple-keyed table, no set views of the masks, and
-    for the step kind no pomset table."""
+    """Only int tables of ``es`` alone in ``es.derived``: no product, no
+    configuration event sets, no frozenset-keyed table, no set views of
+    the masks, and for the step kind no pomset table."""
     unbuilt = {es_mod._config_sets.__wrapped__,
-               _engine._triple_tables.__wrapped__,
                es_mod._cause_sets.__wrapped__,
                es_mod._conflict_sets.__wrapped__,
                es_mod._divergent_sets.__wrapped__}
@@ -114,7 +113,8 @@ def _check_derived(es, kind):
         unbuilt.add(es_mod._pomset_table.__wrapped__)
     assert es.derived
     for key, value in es.derived.items():
-        assert key[0] not in unbuilt
+        assert key.__module__ == es_mod.__name__  # no engine product
+        assert key not in unbuilt
         assert not isinstance(value, frozenset)
         assert not (isinstance(value, dict)
                     and any(isinstance(k, frozenset) for k in value))
@@ -185,6 +185,27 @@ def test_posetal_queries_build_no_decoded_table(tmp_path, capsys,
                      kinds)
     _cli_queries(text, kinds, tmp_path, monkeypatch)
     capsys.readouterr()
+
+
+def test_a_reused_structure_keeps_no_product():
+    # a structure compiled once and checked against many others keeps
+    # only its own tables: the products die with their queries
+    table = parse(F1)
+    p = compiled(table["Q"])
+    first = None
+    for _ in range(50):
+        q = compiled(table["P"])
+        for kind in RelationKind:
+            bisim(p, q, kind, want_witness=True)
+            pb.prebisim(p, q, kind, want_witness=True)
+            pb.prebisim(q, p, kind, want_witness=True)
+            pb.fin_preorder(p, q, kind, want_witness=True)
+            distinguishing_tree(p, q, kind)
+            distinguishing_tree(q, p, kind)
+        if first is None:
+            first = set(p.structure.derived)
+        assert set(p.structure.derived) == first
+    assert all(isinstance(key, FunctionType) for key in first)
 
 
 def test_deep_chain_step_queries():

@@ -24,7 +24,7 @@ from pomcheck.equiv import RelationKind, bisim, verdict
 from pomcheck.estructure import ProcessState, compiled, configurations
 from pomcheck.grammar import parse_term
 from pomcheck.synctree import subtrees
-from pomcheck.testgen import random_tree
+from pomcheck.testgen import distinguishing_tree, random_tree
 
 PAIR_KINDS = (RelationKind.POMSET, RelationKind.STEP)
 
@@ -125,12 +125,12 @@ def test_pair_engine_matches_frozenset_oracle(family):
                                  True)
             want_pre = verdict(oracle.pair_ranks(p, q, step, None, True), True)
             want_fin = verdict(oracle.pair_ranks(p, q, step, pmax, True),
-                               True, pmax)
+                               True)
             assert bisim(p, q, kind, want_witness=True) == want_bisim
             assert pb.prebisim(p, q, kind, want_witness=True) == want_pre
             fin = pb.fin_preorder(p, q, kind, want_witness=True)
             assert fin == want_fin == want_pre
-            assert _engine.stable_depth(p, q, kind, pmax) == \
+            assert _engine.stable_depth(p, q, kind) == \
                 oracle.pair_ranks(p, q, step, pmax, True, everywhere=True).depth
 
 
@@ -167,6 +167,47 @@ def test_tree_native_fin_preorder_builds_each_table_once(monkeypatch):
             built.clear()
             query(left, right, kind, want_witness=True)
             assert built == [left, right]
+
+
+def test_tree_native_distinguishing_tree_builds_seven_tables(monkeypatch):
+    # the left tree's table is built for its failing level, its
+    # characteristic tree and the re-verification, the right tree's for
+    # the level and the re-verification, the candidate's for both
+    # re-verifications; no dominating set reads both sides again
+    left = parse_term("{a,b}:(c:0) + a:W")
+    right = parse_term("{a,b}:(c:W) + a:0")
+    built, build = [], es_mod.tree_table
+
+    def counted(t, step_only):
+        built.append(t)
+        return build(t, step_only)
+
+    monkeypatch.setattr(es_mod, "tree_table", counted)
+    for kind in PAIR_KINDS:
+        built.clear()
+        t = distinguishing_tree(left, right, kind)
+        assert t is not None
+        assert len(built) == 7
+        assert sum(b is left for b in built) == 3
+        assert sum(b is right for b in built) == 2
+
+
+def test_negative_finitary_via_trees_ranks_each_pair_once(monkeypatch):
+    # the failing level is passed to the tree builder, not computed again
+    left = parse_term("{a,b}:(c:0) + a:W")
+    right = parse_term("{a,b}:(c:W) + a:0")
+    calls, ranks = [], pb.ranks
+
+    def counted(*args):
+        calls.append(args[:2])
+        return ranks(*args)
+
+    monkeypatch.setattr(pb, "ranks", counted)
+    for kind in PAIR_KINDS:
+        calls.clear()
+        v = pb.finitary_via_trees(left, right, kind)
+        assert not v.related and v.witness.kind == "tree"
+        assert len(calls) == 3 and calls[0] == (left, right)
 
 
 def test_tree_table_lists_each_summand_once():

@@ -104,14 +104,14 @@ def test_hp_quotient_matches_full_product(family):
         ]
         for restriction, pre, got in queries:
             full = _full_ranks(es1, es2, tables, restriction, pre)
-            assert got == verdict(full, True, restriction)
+            assert got == verdict(full, True)
             r = _engine.ranks(p, q, HP, restriction, pre)
             assert r.size <= full.size
             assert r.depth == full.depth
             for n in range(4):
                 assert r.holds_at(n) == full.holds_at(n)
         full = _full_ranks(es1, es2, tables, pmax, True)
-        assert _engine.stable_depth(p, q, HP, pmax) == full.depth
+        assert _engine.stable_depth(p, q, HP) == full.depth
         full = _full_ranks(es1, es2, tables, None, True)
         for n in range(4):
             assert pb.level_approx(p, q, HP, n) == full.holds_at(n)
@@ -232,7 +232,7 @@ def test_positions_are_not_events():
                     tuple((singleton(lab), c) for lab, c in ofwd[root]),
                     tuple((singleton(lab), c) for lab, c in obwd[root]),
                     len(space))
-                assert got == verdict(full, True, restriction)
+                assert got == verdict(full, True)
                 assert r.depth == full.depth
     # the hp quotient merges some triples
     assert any(n < size for n, size in quotient_sizes)
