@@ -17,12 +17,14 @@ and differ in one guard: prebisimulation asks for back-transfer and
 convergence only from convergent left states, and under a restriction
 set only when every initial pomset of the left state is in the set.
 
-For the pomset/step kinds each side is read from its transition table,
-built once per structure and kind: states are ints in configuration
-graph order, each state's successors are grouped by a table-local
-pomset id, and the table lists its distinct pomsets.  A tree under the
-tree-native semantics gets the same table from its subtrees, built per
-query.  A query maps the left table's pomset ids to the right table's
+:func:`table_of` maps a state and a kind to the one transition table
+the kind reads (pomset, step, or single actions for hp/hhp), built once
+per structure and kind: states are ints in configuration graph order,
+each state's successors are grouped by a table-local pomset id, and
+the table lists its distinct pomsets.  A tree under the tree-native
+semantics gets the same table from its subtrees, built per query.
+For the pomset/step kinds each side of a query is read from its table,
+and the query maps the left table's pomset ids to the right table's
 once and explores only the matched-label pair product reachable from
 the root pair; it builds no configuration event set and no state
 object.  A caller whose restriction would hold every transition label
@@ -97,16 +99,26 @@ def pair_space(p, q) -> frozenset:
     return frozenset((x, y) for x in states(p) for y in ys)
 
 
-def table_of(state, step_only: bool):
-    """The transition table of ``state``'s system and ``state``'s id in it.
+def table_of(state, kind: RelationKind):
+    """The transition table ``kind`` reads of ``state``'s system, and
+    ``state``'s id in it.
 
-    A structure's table is built once and kept on it; a tree's is built
-    from its subtrees on each call.  The step kind reads the step table
-    and never builds the pomset table.
+    The pomset kind reads pomset transitions, the step kind step
+    transitions and hp/hhp single actions, each from its own table.  A
+    structure's table is built once and kept on it; a tree's is built
+    from its subtrees on each call, and hp/hhp have none.
     """
     if isinstance(state, SyncTree):
-        return es_mod.tree_table(state, step_only), 0
-    table = es_mod.transition_table(state.structure, step_only)
+        if kind.posetal:
+            raise _needs_structures(kind)
+        return es_mod.tree_table(state, kind is RelationKind.STEP), 0
+    if kind.posetal:
+        build = es_mod.action_table
+    elif kind is RelationKind.STEP:
+        build = es_mod._step_table
+    else:
+        build = es_mod._pomset_table
+    table = build(state.structure)
     return table, table.index[es_mod.config_mask(state)]
 
 
@@ -456,7 +468,7 @@ def _rounds(demands, extensions=None) -> dict:
     return rank
 
 
-def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
+def _pair_ranks(p, q, kind, restriction, pre, everywhere=False) -> Ranks:
     """Rounds over the matched-label pair product reachable from (p, q).
 
     Both sides are read from their transition tables
@@ -468,8 +480,8 @@ def _pair_ranks(p, q, step_only, restriction, pre, everywhere=False) -> Ranks:
     its forward obligations and the columns its backward ones.  With
     ``everywhere`` the whole pair product is explored instead.
     """
-    tx, xr = table_of(p, step_only)
-    ty, yr = table_of(q, step_only)
+    tx, xr = table_of(p, kind)
+    ty, yr = table_of(q, kind)
     pomsets, right_ids = list(ty.pomsets), ty.pomset_ids
     common = []  # left pomset id -> its id among ``pomsets``
     for u in tx.pomsets:
@@ -557,11 +569,14 @@ def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
                  labelled(fwd[0]), labelled(bwd[0]), len(demands))
 
 
+def _needs_structures(kind) -> StructuralError:
+    return StructuralError(
+        f"the {kind.value} relations require the event-structure semantics")
+
+
 def _posetal_structures(p, q, kind):
     if not isinstance(p, ProcessState) or not isinstance(q, ProcessState):
-        raise StructuralError(
-            f"the {kind.value} relations require the event-structure semantics"
-        )
+        raise _needs_structures(kind)
     if p.config or q.config:
         raise StructuralError(
             f"the {kind.value} relations are rooted at the empty configuration"
@@ -580,7 +595,7 @@ def ranks(p, q, kind: RelationKind, restriction=None, pre=False) -> Ranks:
         es1, es2 = _posetal_structures(p, q, kind)
         return _triple_ranks(es1, es2, kind is RelationKind.HHP,
                              restriction, pre)
-    return _pair_ranks(p, q, kind is RelationKind.STEP, restriction, pre)
+    return _pair_ranks(p, q, kind, restriction, pre)
 
 
 def stable_depth(p, q, kind: RelationKind, r=None) -> int:
@@ -592,5 +607,4 @@ def stable_depth(p, q, kind: RelationKind, r=None) -> int:
     """
     if kind.posetal:
         return (r or ranks(p, q, kind, None, True)).depth
-    return _pair_ranks(p, q, kind is RelationKind.STEP, None, True,
-                       everywhere=True).depth
+    return _pair_ranks(p, q, kind, None, True, everywhere=True).depth

@@ -19,23 +19,25 @@ extensions, grown from the empty configuration, with each
 configuration's enabled events derived from its parent's: adding ``e``
 drops ``e`` and its conflicts, and enables the events ``e`` causes
 immediately whose causes are then all present and which conflict with
-none of them.  :func:`configurations` and :func:`action_transitions`
-read this graph, building each configuration's event set once, when one
-of them is first asked for; the transition tables and the posetal
-product read the masks directly.
+none of them.  :func:`configurations` reads this graph, building each
+configuration's event set once, when it is first asked for; the
+transition tables and the posetal product read the masks directly.
 
-The pomset and step kinds each have one table, :class:`Transitions`,
-built once per structure and only for the kind that is asked for: the
-configurations by id in graph order (the empty one is 0), each id's
-successor ids grouped by a table-local pomset id, each id's divergence
-and the list of distinct pomsets.  The step table takes the
-conflict-free sets of each configuration's enabled events; the pomset
-table lists every strict extension ``c < d`` of masks and codes each
-residual ``d ^ c`` from the cause masks once, canonicalizing each
-residual shape once per build.  A tree under the tree-native semantics
-gets the same form from its subtrees (:func:`tree_table`).  The
-engine reads the tables as they are; :func:`pomset_transitions`,
-:func:`step_transitions`, :func:`initials`, :func:`derivatives` and
+Every transition system is one table, :class:`Transitions`, built once
+per structure and only for the kind that reads it: the configurations
+by id in graph order (the empty one is 0), each id's successor ids
+grouped by a table-local pomset id, each id's divergence and the list
+of distinct pomsets.  The step table takes the conflict-free sets of
+each configuration's enabled events; the pomset table lists every
+strict extension ``c < d`` of masks and codes each residual ``d ^ c``
+from the cause masks once, canonicalizing each residual shape once per
+build; the action table, which hp and hhp observe, has one entry per
+graph edge, labelled by a singleton pomset.  A tree under the
+tree-native semantics gets the same form from its subtrees
+(:func:`tree_table`).  ``_engine.table_of`` picks the table of a state
+and a kind, and every reader takes the table as it is;
+:func:`pomset_transitions`, :func:`step_transitions`,
+:func:`action_transitions`, :func:`initials`, :func:`derivatives` and
 :func:`sort` decode a row to event sets and states only when called,
 and keep nothing decoded.
 """
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
-from .pomset import LabelledPoset, Pomset, shape_pomset, step_of
+from .pomset import LabelledPoset, Pomset, shape_pomset, singleton, step_of
 from .synctree import SyncTree
 
 Config = FrozenSet[int]
@@ -523,9 +525,24 @@ def _step_table(es: PrimeEventStructure) -> Transitions:
                        pids)
 
 
-def transition_table(es: PrimeEventStructure, step_only: bool) -> Transitions:
-    """The step or the pomset table of ``es``, built once per structure."""
-    return _step_table(es) if step_only else _pomset_table(es)
+@derived_table
+def action_table(es: PrimeEventStructure) -> Transitions:
+    """The action transitions: one entry per configuration graph edge.
+
+    Each edge is labelled by the singleton pomset of its event's label;
+    hp and hhp observe these transitions alone.
+    """
+    configs, index, divergent = _graph_states(es)
+    pids = {}
+    rows = []
+    for edges in _config_graph(es).values():
+        row = {}
+        for lab, _, d in edges:
+            row.setdefault(pids.setdefault(singleton(lab), len(pids)),
+                           []).append(index[d])
+        rows.append(row)
+    return Transitions(configs, index, tuple(rows), divergent, tuple(pids),
+                       pids)
 
 
 def tree_table(t: SyncTree, step_only: bool) -> Transitions:
@@ -584,14 +601,15 @@ def _decoded(s: ProcessState, table: Transitions, row) -> frozenset:
     )
 
 
-def _row(s: ProcessState, step_only: bool):
-    table = transition_table(s.structure, step_only)
+def _row(s: ProcessState, build):
+    """The table ``build`` makes of ``s``'s structure, and ``s``'s row."""
+    table = build(s.structure)
     return table, table.rows[table.index[config_mask(s)]]
 
 
 def pomset_transitions(s: ProcessState) -> frozenset:
     """All pomset-labelled transitions from ``s`` (configuration extensions)."""
-    return _decoded(s, *_row(s, False))
+    return _decoded(s, *_row(s, _pomset_table))
 
 
 def step_transitions(s: ProcessState) -> frozenset:
@@ -599,18 +617,16 @@ def step_transitions(s: ProcessState) -> frozenset:
 
     Decoded from the step table; the pomset table is not built.
     """
-    return _decoded(s, *_row(s, True))
+    return _decoded(s, *_row(s, _step_table))
 
 
 def action_transitions(s: ProcessState) -> frozenset:
     """Single-action transitions, labelled by the added event's label.
 
-    Decoded from ``s``'s row of the configuration graph.
+    Decoded from ``s``'s row of the action table.
     """
-    es = s.structure
-    sets = _config_sets(es)
-    return frozenset((lab, ProcessState(es, sets[d]))
-                     for lab, _, d in _config_graph(es)[config_mask(s)])
+    return frozenset((u.label_multiset()[0], s2)
+                     for u, s2 in _decoded(s, *_row(s, action_table)))
 
 
 def divergent(s: ProcessState) -> bool:
@@ -620,7 +636,7 @@ def divergent(s: ProcessState) -> bool:
 
 def initials(s: ProcessState) -> frozenset:
     """Pomsets labelling some transition from ``s``."""
-    table, row = _row(s, False)
+    table, row = _row(s, _pomset_table)
     return frozenset([table.pomsets[u] for u in row])
 
 

@@ -268,30 +268,21 @@ def parse_pomset(text: str) -> Pomset:
 # ---------------------------------------------------------------------------
 
 
-def _hasse(order):
-    """Covering pairs of a transitively closed strict order."""
-    return {
-        (a, b)
-        for a, b in order
-        if not any((a, c) in order and (c, b) in order for c in {x for x, _ in order} | {y for _, y in order})
-    }
-
-
 def format_pomset(p: Pomset) -> str:
-    lp = p.canon
-    n = len(lp)
-    if n == 1:
-        (e,) = lp.events
-        return lp.label(e)
-    if p.is_step():
-        return "{" + ",".join(sorted(lp.label(e) for e in lp.events)) + "}"
-    names = sorted(lp.events, key=lambda e: int(e[1:]))
-    decls = "; ".join(f"{e}:{lp.label(e)}" for e in names)
-    edges = "; ".join(
-        f"{a}<{b}" for a, b in sorted(_hasse(lp.order), key=lambda ab: (int(ab[0][1:]), int(ab[1][1:])))
-    )
-    body = decls + ("; " + edges if edges else "")
-    return "pomset{" + body + "}"
+    """The literal of ``p``, read from its canonical key: events are
+    ``e{i}`` and the order is written by its covering pairs."""
+    labels, pairs = p.key
+    if len(labels) == 1:
+        return labels[0]
+    if not pairs:
+        return "{" + ",".join(labels) + "}"
+    below, above = [0] * len(labels), [0] * len(labels)
+    for a, b in pairs:
+        below[b] |= 1 << a
+        above[a] |= 1 << b
+    decls = [f"e{i}:{lab}" for i, lab in enumerate(labels)]
+    edges = [f"e{a}<e{b}" for a, b in pairs if not above[a] & below[b]]
+    return "pomset{" + "; ".join(decls + edges) + "}"
 
 
 def format_tree(t: SyncTree) -> str:

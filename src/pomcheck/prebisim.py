@@ -89,28 +89,17 @@ def first_failing_level(p, q, kind: RelationKind, restriction=None) -> Optional[
     return _ranks(p, q, kind, restriction).level
 
 
-def _sort_pomsets(state, kind: RelationKind) -> frozenset:
-    """All transition labels of ``state``'s system, read from its table."""
-    return frozenset(table_of(state, kind is RelationKind.STEP)[0].pomsets)
-
-
 def dominating_restriction(p, q, kind: RelationKind) -> frozenset:
     """The finite restriction set that decides the finitary preorder.
 
-    Pomsets outside the sorts of both processes label no transition and
-    cannot flip the ``initials <= restriction`` guards, so this set
-    dominates every finite restriction by antitonicity.
+    It holds every label of both sides' transition tables under
+    ``kind`` (single actions for hp/hhp).  Pomsets outside the sorts of
+    both processes label no transition and cannot flip the
+    ``initials <= restriction`` guards, so this set dominates every
+    finite restriction by antitonicity.
     """
-    if kind.posetal:
-        from .pomset import singleton
-
-        labels = {
-            singleton(lab)
-            for es in (p.structure, q.structure)
-            for lab in es.labels.values()
-        }
-        return frozenset(labels)
-    return _sort_pomsets(p, kind) | _sort_pomsets(q, kind)
+    return frozenset(table_of(p, kind)[0].pomsets).union(
+        table_of(q, kind)[0].pomsets)
 
 
 def fin_preorder(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:

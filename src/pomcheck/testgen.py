@@ -1,5 +1,9 @@
 """Finite test-tree enumeration, characteristic/distinguishing trees,
-and random model generation for the property suites."""
+and random model generation for the property suites.
+
+A characteristic tree reads the transition table of its state and kind
+(``_engine.table_of``): pomsets, steps, or for hp/hhp single actions.
+"""
 
 from __future__ import annotations
 
@@ -56,28 +60,6 @@ def enumerate_trees(
         pool = pool + fresh
 
 
-def _kind_rows(state, kind: RelationKind):
-    """``state``'s system as ``(root, out, divergent)``.
-
-    ``out(x)`` lists the ``(prefix pomset, successor)`` transitions of
-    state ``x`` under ``kind`` and ``divergent(x)`` its divergence.
-    States are read from the kind's transition table (ids), or for
-    hp/hhp, which observe single actions, from the configuration graph
-    (masks); no state object is built.
-    """
-    if kind.posetal:
-        graph = es_mod._config_graph(state.structure)
-        return (es_mod.config_mask(state),
-                lambda c: [(singleton(lab), d) for lab, _, d in graph[c]],
-                es_mod._event_masks(state.structure).divergent.__contains__)
-    table, root = table_of(state, kind is RelationKind.STEP)
-    pomsets, rows = table.pomsets, table.rows
-    return (root,
-            lambda x: [(pomsets[u], y) for u, ys in rows[x].items()
-                       for y in ys],
-            table.divergent.__getitem__)
-
-
 def characteristic_tree(
     state, restriction, n: int, kind: RelationKind
 ) -> SyncTree:
@@ -97,15 +79,16 @@ def characteristic_tree(
     """
     if n <= 0:
         return OMEGA
-    root, out, divergent = _kind_rows(state, kind)
-    trees = {}  # (state, level) -> its tree
+    table, root = table_of(state, kind)
+    pomsets, rows, divergent = table.pomsets, table.rows, table.divergent
+    trees = {}  # (state id, level) -> its tree
     stack = [(root, n)]
     while stack:
         x, m = stack[-1]
         if (x, m) in trees:
             stack.pop()
             continue
-        succs = out(x)
+        succs = [(pomsets[u], y) for u, ys in rows[x].items() for y in ys]
         kept = succs
         if restriction is not None:
             kept = [(u, y) for u, y in succs if u in restriction]
@@ -117,7 +100,7 @@ def characteristic_tree(
         stack.pop()
         trees[x, m] = SyncTree(
             [(u, trees[y, m - 1] if m > 1 else OMEGA) for u, y in kept],
-            divergent(x) or len(kept) < len(succs),
+            divergent[x] or len(kept) < len(succs),
         )
     return trees[root, n]
 

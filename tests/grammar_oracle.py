@@ -12,6 +12,11 @@ parser, kept exactly as it was for ``tests/test_grammar.py``:
 
 The library must give an equal tree, or a ``ParseError`` with the same
 message, on every text; only its end-of-input position differs.
+
+``format_pomset`` is the pomset printer the library used before it read
+the canonical key: it builds the canonical ``LabelledPoset`` and tests
+every order pair against every event for a covering pair (``_hasse``).
+The library must print the same text for every pomset.
 """
 
 from __future__ import annotations
@@ -226,3 +231,29 @@ def parse_pomset(text: str) -> Pomset:
     if toks.peek()[0] != "eof":
         toks.error("trailing input after pomset literal")
     return p
+
+
+def _hasse(order):
+    """Covering pairs of a transitively closed strict order."""
+    return {
+        (a, b)
+        for a, b in order
+        if not any((a, c) in order and (c, b) in order for c in {x for x, _ in order} | {y for _, y in order})
+    }
+
+
+def format_pomset(p: Pomset) -> str:
+    lp = p.canon
+    n = len(lp)
+    if n == 1:
+        (e,) = lp.events
+        return lp.label(e)
+    if p.is_step():
+        return "{" + ",".join(sorted(lp.label(e) for e in lp.events)) + "}"
+    names = sorted(lp.events, key=lambda e: int(e[1:]))
+    decls = "; ".join(f"{e}:{lp.label(e)}" for e in names)
+    edges = "; ".join(
+        f"{a}<{b}" for a, b in sorted(_hasse(lp.order), key=lambda ab: (int(ab[0][1:]), int(ab[1][1:])))
+    )
+    body = decls + ("; " + edges if edges else "")
+    return "pomset{" + body + "}"

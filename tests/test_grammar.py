@@ -6,7 +6,7 @@ import random
 import pytest
 
 import grammar_oracle as oracle
-from conftest import f1_terms, tree_corpus
+from conftest import f1_terms, random_labelled_poset, tree_corpus
 from pomcheck.errors import ParseError
 from pomcheck.grammar import (
     format_pomset,
@@ -16,7 +16,7 @@ from pomcheck.grammar import (
     parse_pomset,
     parse_term,
 )
-from pomcheck.pomset import chain_of, singleton, step_of
+from pomcheck.pomset import canonicalize, chain_of, singleton, step_of
 from pomcheck.synctree import NIL, OMEGA, SyncTree, prefix
 from pomcheck.testgen import random_tree
 
@@ -127,6 +127,18 @@ class TestPrinting:
         s = format_pomset(chain_of("abc"))
         assert s.count("<") == 2  # e0<e1, e1<e2 but no e0<e2
         assert parse_pomset(s) == chain_of("abc")
+
+    def test_format_pomset_matches_poset_printer(self):
+        # the key-based printer against the one that built the
+        # canonical poset, on random pomsets of 1 to 6 events
+        rng = random.Random("format-pomset")
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            lp = random_labelled_poset(rng, n, "abc", rng.choice((0.2, 0.5)))
+            u = canonicalize(lp)
+            text = format_pomset(u)
+            assert text == oracle.format_pomset(u)
+            assert parse_pomset(text) == u
 
 
 class TestEndOfInputPosition:

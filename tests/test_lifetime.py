@@ -187,6 +187,22 @@ def test_posetal_queries_build_no_decoded_table(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_posetal_decisions_build_no_action_table():
+    # hp and hhp decide on the posetal product, grown from the
+    # configuration graph; only tree extraction reads the action table
+    terms = f1_terms("aab")
+    for kind in (RelationKind.HP, RelationKind.HHP):
+        for left in terms:
+            for right in terms:
+                p, q = compiled(parse_term(left)), compiled(parse_term(right))
+                bisim(p, q, kind, want_witness=True)
+                pb.prebisim(p, q, kind, want_witness=True)
+                pb.fin_preorder(p, q, kind, want_witness=True)
+                for es in (p.structure, q.structure):
+                    assert es.derived
+                    assert es_mod.action_table.__wrapped__ not in es.derived
+
+
 def test_a_reused_structure_keeps_no_product():
     # a structure compiled once and checked against many others keeps
     # only its own tables: the products die with their queries

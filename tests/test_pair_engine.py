@@ -214,10 +214,10 @@ def test_tree_table_lists_each_summand_once():
     # a repeated summand is one transition, as in tree_transitions
     t = parse_term("a:(b:0) + a:(b:0) + {a,b}:0 + pomset{e0:a; e1:b; e0<e1}:0")
     assert len(t.summands) == 4
-    for step in (False, True):
-        table, root = _engine.table_of(t, step)
+    for kind in PAIR_KINDS:
+        table, root = _engine.table_of(t, kind)
         assert root == 0 and table.states[0] == t
         assert set(table.states) == subtrees(t)
         got = Counter((table.pomsets[u], table.states[y])
                       for u, ys in table.rows[0].items() for y in ys)
-        assert got == Counter(_engine.successors(t, step))
+        assert got == Counter(_engine.successors(t, kind is RelationKind.STEP))

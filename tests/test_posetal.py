@@ -58,6 +58,13 @@ def _obligations(table):
     return [(lab, Counter(cands)) for lab, cands in table]
 
 
+def _actions(es1, es2):
+    """Every label of both structures, as singleton pomsets: the hp/hhp
+    dominating set, which the action tables must list (every event of
+    these structures is enabled in some configuration)."""
+    return {singleton(lab) for es in (es1, es2) for lab in es.labels.values()}
+
+
 def _full_ranks(es1, es2, tables, restriction, pre):
     """hp ranks from rounds over the full enumerated product's tables."""
     acts = None
@@ -97,6 +104,7 @@ def test_hp_quotient_matches_full_product(family):
         es1, es2 = p.structure, q.structure
         tables = oracle.triple_transitions(es1, es2)
         pmax = pb.dominating_restriction(p, q, HP)
+        assert pmax == _actions(es1, es2)
         queries = [
             (None, False, bisim(p, q, HP, want_witness=True)),
             (None, True, pb.prebisim(p, q, HP, want_witness=True)),
@@ -210,6 +218,7 @@ def test_positions_are_not_events():
             if not hereditary:
                 quotient_sizes.append((len(nodes), len(space)))
             pmax = pb.dominating_restriction(p, q, kind)
+            assert pmax == _actions(es1, es2)
             queries = [
                 (None, False, bisim(p, q, kind, want_witness=True)),
                 (None, True, pb.prebisim(p, q, kind, want_witness=True)),

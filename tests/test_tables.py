@@ -52,7 +52,8 @@ def test_tables_match_per_extension_oracle(family):
             assert _rows(steps[c]) == _rows((u, d) for u, d in rows
                                             if u.is_step())
             assert _rows(pomsets[c]) == _rows(rows)
-        for table in (es_mod._step_table(es), es_mod._pomset_table(es)):
+        for table in (es_mod._step_table(es), es_mod._pomset_table(es),
+                      es_mod.action_table(es)):
             _check_form(es, table)
         _check_decoding(es, oracle)
 

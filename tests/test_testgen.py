@@ -3,11 +3,14 @@
 import itertools
 import random
 
+import pytest
+
 import pair_oracle
 from conftest import f1_terms, tree_corpus
 from pomcheck import prebisim as pb
 from pomcheck import testgen
 from pomcheck.equiv import RelationKind
+from pomcheck.errors import StructuralError
 from pomcheck.estructure import ProcessState, compiled, configurations
 from pomcheck.grammar import format_tree, parse_term
 from pomcheck.pomset import singleton, step_of
@@ -108,6 +111,16 @@ class TestCharacteristicTree:
                         assert pb.prebisim(ts, q, kind).related == pb.strat(
                             p, q, kind, pb.StratParams(pmax, n)
                         )
+
+
+def test_posetal_kinds_reject_a_tree():
+    # hp and hhp read configurations: a tree is a typed input error
+    t = parse_term("a:0")
+    for kind in (RelationKind.HP, RelationKind.HHP):
+        with pytest.raises(StructuralError, match="event-structure semantics"):
+            characteristic_tree(t, None, 1, kind)
+        with pytest.raises(StructuralError, match="event-structure semantics"):
+            pb.dominating_restriction(t, t, kind)
 
 
 class TestDistinguishingTree:
