@@ -195,11 +195,10 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     events have only relevant causes, and relevance only shrinks as
     configurations grow, so every full triple has the demand of its
     node: ranks, levels and witnesses are those of the full product.
-    A target's relevant events lie among its source's and the new
-    event, so a pair can leave ``f`` only on an extension whose target
-    has no more relevant events than its source; only those extensions
-    filter ``f``, over the pairs whose left event is no longer relevant
-    (each node keeps the mask of its pairs' left events for this).
+    Each extension drops from ``f`` the pairs with no relevant side in
+    its target, looking only at the pairs whose left event is no longer
+    relevant (each node keeps the mask of its pairs' left events for
+    this).
     Relevance is computed once per configuration met.  hhp keeps full
     triples, whose sub-triples its closure reads.
     """
@@ -229,8 +228,7 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
         at_c = rows_at.get(c)
         if at_c is None:  # C's extensions, once per pass
             at_c = rows_at[c] = [
-                (lab, 1 << i, width * i, cause_slots[i], c2,
-                 not hereditary and rel1[c2].bit_count() <= rel1[c].bit_count())
+                (lab, 1 << i, width * i, cause_slots[i], c2)
                 for lab, i, c2 in graph1[c]
             ], tuple([lab for lab, _, _ in graph1[c]])
         rows, labels1 = at_c
@@ -240,20 +238,19 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
             buckets = {}
             for k, (lab, j, d2) in enumerate(edges):
                 buckets.setdefault((lab, causes2[j]), []).append(
-                    (k, j + 1, d2, not hereditary
-                     and rel2[d2].bit_count() <= rel2[d].bit_count()))
+                    (k, j + 1, d2))
             at_d = buckets_at[d] = buckets, tuple([lab for lab, _, _ in edges])
         buckets, labels2 = at_d
         back = [[] for _ in labels2]
         groups = []
-        for lab, bit, at, slots, c2, shrinks1 in rows:
+        for lab, bit, at, slots, c2 in rows:
             m = 0
             for s in slots:  # the images of e's causes
                 m |= 1 << ((f >> s & full) - 1)
             cands = []
-            for k, s, d2, shrinks2 in buckets.get((lab, m), ()):
+            for k, s, d2 in buckets.get((lab, m), ()):
                 f2, dom2 = f | s << at, dom | bit
-                if shrinks1 or shrinks2:
+                if not hereditary:
                     r2 = rel2[d2]
                     gone = dom2 & ~rel1[c2]
                     while gone:

@@ -16,7 +16,7 @@ import time
 from . import estructure, grammar, prebisim, testgen
 from .equiv import RelationKind, Verdict, bisim
 from .errors import InternalInconsistencyError, ParseError, PomcheckError
-from .prebisim import OMEGA, StratParams
+from .prebisim import OMEGA
 
 EXIT_RELATED = 0
 EXIT_NOT_RELATED = 1
@@ -130,56 +130,49 @@ def _natural(value, flag):
     return value
 
 
+def _sides(args):
+    """The two named processes of ``args.file`` and the ``--rel`` kind.
+
+    Each side is its compiled structure's root, or the tree itself under
+    ``--semantics tree-native``.
+    """
+    table = _load(args.file)
+    sides = [_lookup(table, args.left), _lookup(table, args.right)]
+    if getattr(args, "semantics", "es") == "es":
+        sides = [estructure.compiled(t) for t in sides]
+    return (*sides, RelationKind(args.rel))
+
+
 def _format_witness(w):
     if w is None:
         return None
     if w.kind == "pomset":
         return {"kind": "pomset", "value": grammar.format_pomset(w.value)}
-    if w.kind == "tree":
-        return {"kind": "tree", "value": grammar.format_tree(w.value)}
     return {"kind": "level", "value": str(w.value)}
 
 
 def _run_check(args) -> int:
-    table = _load(args.file)
-    left_tree = _lookup(table, args.left)
-    right_tree = _lookup(table, args.right)
-    kind = RelationKind(args.rel)
-
-    if args.semantics == "tree-native":
-        if kind.posetal:
-            raise ParseError(
-                "tree-native semantics supports the pomset and step kinds only"
-            )
-        left, right = left_tree, right_tree
-    else:
-        left = estructure.compiled(left_tree)
-        right = estructure.compiled(right_tree)
-
-    restriction = (
-        _restriction_from_file(args.restrict) if args.restrict else None
-    )
-    level = args.level if args.level is not None else OMEGA
     preorder = args.pre or args.kernel
     if args.level is not None and not preorder:
         raise ParseError("--level requires --pre or --kernel")
-    if restriction is not None and not preorder:
+    if args.restrict and not preorder:
         raise ParseError("--restrict requires --pre or --kernel")
+    level = OMEGA if args.level is None else _natural(args.level, "--level")
+    left, right, kind = _sides(args)
+    restriction = (
+        _restriction_from_file(args.restrict) if args.restrict else None
+    )
 
     start = time.monotonic()
     if not preorder:
         verdict = bisim(left, right, kind, want_witness=args.witness)
     else:
         def one_way(a, b):
-            if level != OMEGA:
-                if restriction is not None:
-                    params = StratParams(restriction, level)
-                    return Verdict(prebisim.strat(a, b, kind, params))
-                return Verdict(prebisim.level_approx(a, b, kind, level))
-            if restriction is not None:
-                n = prebisim.first_failing_level(a, b, kind, restriction)
-                return Verdict(n is None, level=OMEGA if n is None else n)
-            return prebisim.prebisim(a, b, kind, want_witness=args.witness)
+            if level == OMEGA and restriction is None:
+                return prebisim.prebisim(a, b, kind, want_witness=args.witness)
+            n = prebisim.first_failing_level(a, b, kind, restriction)
+            return Verdict(n is None or (level != OMEGA and n > level),
+                           level=OMEGA if n is None else n)
 
         verdict = one_way(left, right)
         if args.kernel and verdict.related:
@@ -187,6 +180,7 @@ def _run_check(args) -> int:
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     relation = ("kernel-" if args.kernel else "") + kind.value
+    witness = _format_witness(verdict.witness)
     payload = {
         "left": args.left,
         "right": args.right,
@@ -194,7 +188,7 @@ def _run_check(args) -> int:
         "preorder": bool(args.pre and not args.kernel),
         "related": verdict.related,
         "level": level if args.level is not None else verdict.level,
-        "witness": _format_witness(verdict.witness),
+        "witness": witness,
         "semantics": args.semantics,
         "elapsed_ms": elapsed_ms,
     }
@@ -203,9 +197,8 @@ def _run_check(args) -> int:
     else:
         word = "related" if verdict.related else "not related"
         print(f"{args.left} and {args.right}: {word} ({relation})")
-        if verdict.witness is not None:
-            w = _format_witness(verdict.witness)
-            print(f"witness {w['kind']}: {w['value']}")
+        if witness is not None:
+            print(f"witness {witness['kind']}: {witness['value']}")
     if not verdict.definitive:
         return EXIT_BOUND
     return EXIT_RELATED if verdict.related else EXIT_NOT_RELATED
@@ -213,10 +206,7 @@ def _run_check(args) -> int:
 
 def _run_approx(args) -> int:
     max_level = _natural(args.max_level, "--max-level")
-    table = _load(args.file)
-    left = estructure.compiled(_lookup(table, args.left))
-    right = estructure.compiled(_lookup(table, args.right))
-    kind = RelationKind(args.rel)
+    left, right, kind = _sides(args)
     n = prebisim.first_failing_level(left, right, kind)
     if n is None or n > max_level:
         print("stable")
@@ -237,10 +227,7 @@ def _run_trees(args) -> int:
 
 
 def _run_explain(args) -> int:
-    table = _load(args.file)
-    left = estructure.compiled(_lookup(table, args.left))
-    right = estructure.compiled(_lookup(table, args.right))
-    kind = RelationKind(args.rel)
+    left, right, kind = _sides(args)
     t = testgen.distinguishing_tree(left, right, kind)
     if t is None:
         print("no distinguishing tree: left is below right")

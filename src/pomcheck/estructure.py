@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
+from ._canon_py import _bits
 from .pomset import LabelledPoset, Pomset, shape_pomset, singleton, step_of
 from .synctree import SyncTree
 
@@ -71,16 +72,6 @@ class EventMasks(NamedTuple):
     above: tuple
     succ: tuple
     divergent: frozenset
-
-
-def _positions(m: int) -> list:
-    """The positions of the set bits of ``m``, ascending."""
-    out = []
-    while m:
-        bit = m & -m
-        m ^= bit
-        out.append(bit.bit_length() - 1)
-    return out
 
 
 class PrimeEventStructure:
@@ -119,10 +110,10 @@ class PrimeEventStructure:
         above, succ = [0] * len(events), [0] * len(events)
         for i, m in enumerate(cause):
             bit, direct = 1 << i, m
-            for j in _positions(m):
+            for j in _bits(m):
                 above[j] |= bit
                 direct &= ~cause[j]
-            for j in _positions(direct):
+            for j in _bits(direct):
                 succ[j] |= bit
         labels = dict(labels)
         masks = EventMasks(
@@ -290,7 +281,7 @@ def compile_tree(t: SyncTree) -> Tuple[PrimeEventStructure, ProcessState]:
                         first |= 1 << e
                     if high[o]:
                         direct = high[o]
-                        for j in _positions(high[o]):
+                        for j in _bits(high[o]):
                             direct &= ~high[j]
                         succ[e] = direct << start
                     else:
@@ -319,7 +310,7 @@ def _event_masks(es: PrimeEventStructure) -> EventMasks:
 
 def _sets_of(es: PrimeEventStructure, masks) -> dict:
     events = es.events
-    return {e: frozenset([events[i] for i in _positions(m)])
+    return {e: frozenset([events[i] for i in _bits(m)])
             for e, m in zip(events, masks)}
 
 
@@ -336,7 +327,7 @@ def _conflict_sets(es: PrimeEventStructure) -> dict:
 @derived_table
 def _divergent_sets(es: PrimeEventStructure) -> frozenset:
     events = es.events
-    return frozenset(frozenset([events[i] for i in _positions(m)])
+    return frozenset(frozenset([events[i] for i in _bits(m)])
                      for m in es._masks.divergent)
 
 
@@ -416,12 +407,12 @@ def _residual_pomset(r: int, labels, causes, shapes) -> Pomset:
     masks, which are already transitively closed.  ``shapes`` maps each
     shape met so far to its pomset, so a shape is canonicalized once.
     """
-    positions = _positions(r)
+    positions = _bits(r)
     labs = tuple([labels[i] for i in positions])
     below = [causes[i] & r for i in positions]
     if any(below):
         local = {i: 1 << k for k, i in enumerate(positions)}
-        below = tuple([sum([local[i] for i in _positions(m)]) for m in below])
+        below = tuple([sum([local[i] for i in _bits(m)]) for m in below])
     else:
         below = ()
     shape = (labs, below)
@@ -596,7 +587,7 @@ def _decoded(s: ProcessState, table: Transitions, row) -> frozenset:
     return frozenset(
         (pomsets[u],
          ProcessState(es, frozenset([events[i]
-                                     for i in _positions(states[y])])))
+                                     for i in _bits(states[y])])))
         for u, ys in row.items() for y in ys
     )
 

@@ -146,17 +146,15 @@ class Pomset:
 
     __slots__ = ("_key", "_hash", "_canon")
 
-    def __init__(self, canon: LabelledPoset, _key=None):
-        if _key is None:
-            n = len(canon)
-            names = [f"e{i}" for i in range(n)]
-            idx = {e: i for i, e in enumerate(names)}
-            _key = (
-                tuple(canon.label(e) for e in names),
-                tuple(sorted((idx[a], idx[b]) for a, b in canon.order)),
-            )
-        object.__setattr__(self, "_key", _key)
-        object.__setattr__(self, "_hash", hash(_key))
+    def __init__(self, canon: LabelledPoset):
+        names = [f"e{i}" for i in range(len(canon))]
+        idx = {e: i for i, e in enumerate(names)}
+        key = (
+            tuple(canon.label(e) for e in names),
+            tuple(sorted((idx[a], idx[b]) for a, b in canon.order)),
+        )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_canon", canon)
 
     @classmethod

@@ -41,7 +41,8 @@ class StratParams:
 
 
 def _check_level(n):
-    if n != OMEGA and (not isinstance(n, int) or n < 0):
+    if n != OMEGA and (not isinstance(n, int) or isinstance(n, bool)
+                       or n < 0):
         raise StructuralError(f"level must be a natural number or {OMEGA!r}")
 
 
@@ -51,7 +52,11 @@ def _check_level(n):
 
 
 def _ranks(p, q, kind, restriction):
-    """The rank map of (p, q) under the prebisimulation functional."""
+    """The rank map of (p, q) under the prebisimulation functional.
+
+    Only public operations call it: the warning names their caller.
+    """
+    r = ranks(p, q, kind, restriction, True)
     if kind.posetal and restriction is not None:
         dropped = sum(1 for u in restriction if len(u) != 1)
         if dropped:
@@ -60,7 +65,7 @@ def _ranks(p, q, kind, restriction):
                 "ignored for the hp/hhp stratification",
                 stacklevel=3,
             )
-    return ranks(p, q, kind, restriction, True)
+    return r
 
 
 def prebisim(p, q, kind: RelationKind, want_witness: bool = False) -> Verdict:
@@ -81,7 +86,7 @@ def strat(p, q, kind: RelationKind, params: StratParams) -> bool:
 
 def strat_omega(p, q, kind: RelationKind, restriction) -> bool:
     """Limit of the stratified approximants (stabilizes on finite models)."""
-    return strat(p, q, kind, StratParams(frozenset(restriction), OMEGA))
+    return _ranks(p, q, kind, frozenset(restriction)).holds_at(OMEGA)
 
 
 def first_failing_level(p, q, kind: RelationKind, restriction=None) -> Optional[int]:

@@ -24,6 +24,7 @@ from pomcheck.cli import (
 from pomcheck.equiv import RelationKind
 from pomcheck.estructure import compiled
 from pomcheck.grammar import parse_term
+from pomcheck.prebisim import StratParams
 from pomcheck.testgen import tree_as_process
 
 PROCS = """
@@ -162,6 +163,36 @@ class TestCheck:
                          str(rfile), procfile)
         assert code == EXIT_RELATED
 
+    @pytest.mark.parametrize("rel", ["pomset", "step", "hp", "hhp"])
+    def test_restricted_level_matches_strat(self, procfile, tmp_path, capsys,
+                                            rel):
+        kind = RelationKind(rel)
+        table = grammar.parse(PROCS)
+        texts = ["a\n", "a\nb\n"] + ([] if kind.posetal else ["a\n{a,b}\n"])
+        seen = set()
+        for i, text in enumerate(texts):
+            rfile = tmp_path / f"restr{i}.pom"
+            rfile.write_text(text, encoding="utf-8")
+            restriction = frozenset(grammar.parse_pomset(line)
+                                    for line in text.split())
+            for left, right in [("P", "Q"), ("Q", "P"), ("A", "AW"),
+                                ("AW", "A")]:
+                p, q = compiled(table[left]), compiled(table[right])
+                for level in range(3):
+                    code, out, err = run(
+                        capsys, "check", "--left", left, "--right", right,
+                        "--rel", rel, "--pre", "--restrict", str(rfile),
+                        "--level", str(level), "--json", procfile)
+                    expect = pb.strat(p, q, kind,
+                                      StratParams(restriction, level))
+                    assert json.loads(out)["related"] is expect
+                    assert json.loads(out)["level"] == level
+                    assert code == (EXIT_RELATED if expect
+                                    else EXIT_NOT_RELATED)
+                    assert err == ""
+                    seen.add(expect)
+        assert seen == {True, False}
+
     def test_tree_native_semantics(self, procfile, capsys):
         code, _, _ = run(capsys, "check", "--left", "P", "--right", "Q",
                          "--rel", "pomset", "--semantics", "tree-native",
@@ -256,6 +287,19 @@ class TestInputErrors:
                            procfile)
         assert code == EXIT_INPUT and "level" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--pre", "--level", "-1"), "--level must be a natural number"),
+        (("--level", "1"), "--level requires --pre or --kernel"),
+        (("--restrict", "R.pom"), "--restrict requires --pre or --kernel"),
+    ])
+    def test_flag_errors_come_before_the_file_is_read(self, tmp_path, capsys,
+                                                      flags, message):
+        code, out, err = run(capsys, "check", "--left", "A", "--right", "AW",
+                             "--rel", "pomset", *flags,
+                             str(tmp_path / "missing.pom"))
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv,flag", [
         (("approx", "--left", "A", "--right", "AW", "--rel", "pomset",
           "--max-level", "-1"), "--max-level"),
@@ -274,6 +318,8 @@ class TestInputErrors:
                            "--rel", "hp", "--semantics", "tree-native",
                            procfile)
         assert code == EXIT_INPUT
+        assert err == ("error: the hp relations require the event-structure "
+                       "semantics\n")
 
     def test_bad_flag(self, procfile, capsys):
         code, _, _ = run(capsys, "check", "--left", "P", "--rel", "step",

@@ -16,7 +16,13 @@ from conftest import f1_terms, tree_corpus
 from pomcheck import _engine
 from pomcheck import prebisim as pb
 from pomcheck.equiv import RelationKind, bisim
-from pomcheck.estructure import PrimeEventStructure, ProcessState, compiled
+from pomcheck.errors import StructuralError
+from pomcheck.estructure import (
+    PrimeEventStructure,
+    ProcessState,
+    action_transitions,
+    compiled,
+)
 from pomcheck.grammar import parse_term
 from pomcheck.pomset import singleton, step_of
 from pomcheck.prebisim import OMEGA, StratParams
@@ -288,3 +294,14 @@ def test_hand_made_rank_maps_match_rescan_oracle():
     assert _engine._rounds(*cases[2]) == {2: 1, 1: 2}
     assert _engine._rounds(*cases[3]) == {i: i + 1 for i in range(60)}
     assert _engine._rounds(*cases[4]) == {**dict.fromkeys(range(40), 1), 40: 2}
+
+
+@pytest.mark.parametrize("kind", [RelationKind.HP, RelationKind.HHP])
+def test_posetal_kinds_reject_non_root_states(kind):
+    p = compiled(parse_term("a:(b:0)"))
+    (_, below), = action_transitions(p)
+    assert below.config
+    for call in (lambda: bisim(below, p, kind),
+                 lambda: pb.prebisim(p, below, kind)):
+        with pytest.raises(StructuralError, match="rooted at the empty"):
+            call()

@@ -152,6 +152,12 @@ class TestLevels:
             with pytest.raises(StructuralError):
                 pb.level_approx(A_NIL, A_NIL_W, RelationKind.POMSET, n)
 
+    def test_bool_level_rejected(self):
+        # bool is an int subclass, but True is no level
+        for n in (True, False):
+            with pytest.raises(StructuralError):
+                pb.level_approx(A_NIL, A_NIL_W, RelationKind.STEP, n)
+
     def test_stabilization_bound(self):
         for t1, t2 in zip(tree_corpus("stab-L", 10, 5, 5),
                           tree_corpus("stab-R", 10, 5, 5)):
@@ -214,6 +220,24 @@ class TestStrat:
             StratParams(frozenset(), -1)
         with pytest.raises(StructuralError):
             StratParams(frozenset(), "later")
+
+    def test_bool_level_rejected(self):
+        for n in (True, False):
+            with pytest.raises(StructuralError):
+                StratParams(frozenset(), n)
+
+    def test_restriction_warning_names_the_caller(self):
+        p = compiled(prefix(A))
+        restriction = frozenset({step_of("ab"), A})
+        hp = RelationKind.HP
+        for call in (
+            lambda: pb.strat_omega(p, p, hp, restriction),
+            lambda: pb.strat(p, p, hp, StratParams(restriction, 1)),
+            lambda: pb.first_failing_level(p, p, hp, restriction),
+        ):
+            with pytest.warns(UserWarning, match="non-singleton") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
 
     def test_nonsingleton_restriction_warns_for_hp(self):
         p = compiled(prefix(A))
