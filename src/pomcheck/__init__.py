@@ -9,7 +9,7 @@ synchronization trees compiled to prime event structures.
 """
 
 from ._canon_py import BACKEND
-from .equiv import RelationKind, Verdict, Witness, bisim, extend_iso
+from .equiv import RelationKind, Verdict, Witness, bisim
 from .errors import (
     InternalInconsistencyError,
     ParseError,
@@ -28,10 +28,6 @@ from .pomset import (
     Pomset,
     canonicalize,
     chain_of,
-    is_isomorphic,
-    is_step,
-    restrict,
-    series_compose,
     singleton,
     step_of,
 )
@@ -47,7 +43,7 @@ from .prebisim import (
     strat,
     strat_omega,
 )
-from .synctree import NIL, OMEGA as OMEGA_TREE, SyncTree, prefix
+from .synctree import NIL, SyncTree, prefix
 from .testgen import (
     characteristic_tree,
     distinguishing_tree,

@@ -155,13 +155,12 @@ def _run_check(args) -> int:
     preorder = args.pre or args.kernel
     if args.level is not None and not preorder:
         raise ParseError("--level requires --pre or --kernel")
-    if args.restrict and not preorder:
+    if args.restrict is not None and not preorder:
         raise ParseError("--restrict requires --pre or --kernel")
     level = OMEGA if args.level is None else _natural(args.level, "--level")
     left, right, kind = _sides(args)
-    restriction = (
-        _restriction_from_file(args.restrict) if args.restrict else None
-    )
+    restriction = (None if args.restrict is None
+                   else _restriction_from_file(args.restrict))
 
     start = time.monotonic()
     if not preorder:

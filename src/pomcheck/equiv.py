@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._engine import OMEGA, Ranks, RelationKind, ranks
-from .errors import StructuralError
 
 
 @dataclass(frozen=True)
@@ -41,24 +40,6 @@ class Verdict:
 
     def __bool__(self):
         return self.related
-
-
-def extend_iso(f, e_left, e_right, label_left, label_right):
-    """Extend a history isomorphism with one pair of equally labelled events.
-
-    The caller remains responsible for checking that the extension is an
-    isomorphism of the extended histories.
-    """
-    f = frozenset(f)
-    if label_left != label_right:
-        raise StructuralError(
-            f"label mismatch: {label_left!r} vs {label_right!r}"
-        )
-    if any(a == e_left for a, _ in f):
-        raise StructuralError(f"event {e_left!r} already in the domain")
-    if any(b == e_right for _, b in f):
-        raise StructuralError(f"event {e_right!r} already in the range")
-    return f | {(e_left, e_right)}
 
 
 def failure_witness(r: Ranks) -> Witness:

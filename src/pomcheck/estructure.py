@@ -37,9 +37,9 @@ tree-native semantics gets the same form from its subtrees
 (:func:`tree_table`).  ``_engine.table_of`` picks the table of a state
 and a kind, and every reader takes the table as it is;
 :func:`pomset_transitions`, :func:`step_transitions`,
-:func:`action_transitions`, :func:`initials`, :func:`derivatives` and
-:func:`sort` decode a row to event sets and states only when called,
-and keep nothing decoded.
+:func:`action_transitions`, :func:`initials` and :func:`sort` decode a
+row to event sets and states only when called, and keep nothing
+decoded.
 """
 
 from __future__ import annotations
@@ -629,11 +629,6 @@ def initials(s: ProcessState) -> frozenset:
     """Pomsets labelling some transition from ``s``."""
     table, row = _row(s, _pomset_table)
     return frozenset([table.pomsets[u] for u in row])
-
-
-def derivatives(s: ProcessState, u: Pomset) -> frozenset:
-    """States reachable from ``s`` by a transition labelled ``u``."""
-    return frozenset(q for v, q in pomset_transitions(s) if v == u)
 
 
 def sort(s: ProcessState) -> frozenset:

@@ -75,9 +75,10 @@ class LabelledPoset:
         return lp
 
     def _fill(self, events, order, labels):
-        for a, b in order:
-            if a == b:
-                raise StructuralError(f"order is cyclic or reflexive at {a!r}")
+        loops = [a for a, b in order if a == b]
+        if loops:
+            raise StructuralError(
+                f"order is cyclic or reflexive at {min(loops, key=repr)!r}")
         object.__setattr__(self, "_events", events)
         object.__setattr__(self, "_order", frozenset(order))
         object.__setattr__(self, "_labels", labels)
@@ -130,9 +131,6 @@ class LabelledPoset:
         return f"LabelledPoset({{{evs}}}, {{{rel}}})"
 
 
-EMPTY_POSET = LabelledPoset((), (), {})
-
-
 class Pomset:
     """Isomorphism class of labelled posets, keyed by its canonical form.
 
@@ -141,31 +139,18 @@ class Pomset:
     the closed order, ``e{i}`` below ``e{j}``.  Equality, hashing and
     ordering read the key alone; its hash is taken once.  The canonical
     :class:`LabelledPoset` is built from the key when :attr:`canon` is
-    first read.
+    first read.  The constructor trusts its key to be canonical; make a
+    pomset with :func:`canonicalize`, :func:`step_of`, :func:`singleton`,
+    :func:`chain_of` or ``grammar.parse_pomset``.
     """
 
     __slots__ = ("_key", "_hash", "_canon")
 
-    def __init__(self, canon: LabelledPoset):
-        names = [f"e{i}" for i in range(len(canon))]
-        idx = {e: i for i, e in enumerate(names)}
-        key = (
-            tuple(canon.label(e) for e in names),
-            tuple(sorted((idx[a], idx[b]) for a, b in canon.order)),
-        )
+    def __init__(self, labels: tuple, pairs: tuple):
+        key = (labels, pairs)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_canon", canon)
-
-    @classmethod
-    def _of_key(cls, labels: tuple, pairs: tuple) -> "Pomset":
-        """The pomset with canonical key ``(labels, pairs)``; no poset is built."""
-        u = object.__new__(cls)
-        key = (labels, pairs)
-        object.__setattr__(u, "_key", key)
-        object.__setattr__(u, "_hash", hash(key))
-        object.__setattr__(u, "_canon", None)
-        return u
+        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Pomset is immutable")
@@ -251,62 +236,7 @@ def shape_pomset(labels, below) -> Pomset:
         pos[orig] = p
     pairs = tuple(sorted([(pos[j], pos[i]) for i, js in enumerate(lower)
                           for j in js]))
-    return Pomset._of_key(tuple(labels[orig] for orig in perm), pairs)
-
-
-def is_isomorphic(u: LabelledPoset, v: LabelledPoset) -> bool:
-    """True iff there is a label-preserving order-isomorphism u -> v."""
-    if len(u) != len(v):
-        return False
-    return canonicalize(u) == canonicalize(v)
-
-
-def is_step(u: Pomset) -> bool:
-    """True iff the pomset's order relation is empty."""
-    return u.is_step()
-
-
-def series_compose(u: LabelledPoset, v: LabelledPoset) -> LabelledPoset:
-    """Sequential composition: everything in ``u`` below everything in ``v``.
-
-    Event identifiers are renamed on collision (``v``'s side gets fresh
-    names).
-    """
-    clash = u.events & v.events
-    ren = {}
-    if clash:
-        used = set(u.events) | set(v.events)
-        for e in v.events:
-            if e in clash:
-                i = 0
-                while f"{e}_{i}" in used:
-                    i += 1
-                ren[e] = f"{e}_{i}"
-                used.add(ren[e])
-            else:
-                ren[e] = e
-    else:
-        ren = {e: e for e in v.events}
-    events = set(u.events) | set(ren.values())
-    order = set(u.order)
-    order |= {(ren[a], ren[b]) for a, b in v.order}
-    order |= {(a, ren[b]) for a in u.events for b in v.events}
-    labels = dict(u.labels)
-    labels.update({ren[e]: v.label(e) for e in v.events})
-    return LabelledPoset(events, order, labels)
-
-
-def restrict(lp: LabelledPoset, subset: Iterable) -> LabelledPoset:
-    """Induced sub-poset on ``subset`` with inherited order and labels."""
-    subset = frozenset(subset)
-    unknown = subset - lp.events
-    if unknown:
-        raise StructuralError(f"unknown events: {sorted(map(repr, unknown))}")
-    return LabelledPoset(
-        subset,
-        ((a, b) for a, b in lp.order if a in subset and b in subset),
-        {e: lp.label(e) for e in subset},
-    )
+    return Pomset(tuple(labels[orig] for orig in perm), pairs)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +251,7 @@ def step_of(labels: Iterable[Label]) -> Pomset:
     A step's canonical form lists its labels in sorted order, so no
     canonical-labelling search is needed.
     """
-    return Pomset._of_key(tuple(sorted(labels)), ())
+    return Pomset(tuple(sorted(labels)), ())
 
 
 EMPTY_POMSET = step_of(())

@@ -165,11 +165,6 @@ def tree_transitions(t: SyncTree) -> frozenset:
     return frozenset(t.summands)
 
 
-def tree_divergent(t: SyncTree) -> bool:
-    """Whether a divergence summand is present at the root."""
-    return t.divergent
-
-
 def tree_size(t: SyncTree) -> int:
     """Node count (each subtree node counts once, prefixes do not)."""
     return t.size

@@ -138,7 +138,11 @@ def canonicalize(lp):
         ((rename[a], rename[b]) for a, b in lp.order),
         {rename[e]: lp.label(e) for e in events},
     )
-    return Pomset(canon)
+    index = {f"e{i}": i for i in range(len(events))}
+    return Pomset(
+        tuple(canon.label(f"e{i}") for i in range(len(events))),
+        tuple(sorted((index[a], index[b]) for a, b in canon.order)),
+    )
 
 
 def pomset_table(es):

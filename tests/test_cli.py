@@ -291,6 +291,7 @@ class TestInputErrors:
         (("--pre", "--level", "-1"), "--level must be a natural number"),
         (("--level", "1"), "--level requires --pre or --kernel"),
         (("--restrict", "R.pom"), "--restrict requires --pre or --kernel"),
+        (("--restrict", ""), "--restrict requires --pre or --kernel"),
     ])
     def test_flag_errors_come_before_the_file_is_read(self, tmp_path, capsys,
                                                       flags, message):
@@ -299,6 +300,13 @@ class TestInputErrors:
                              str(tmp_path / "missing.pom"))
         assert code == EXIT_INPUT and out == ""
         assert err == f"error: {message}\n"
+
+    def test_empty_restrict_is_an_unreadable_file(self, procfile, capsys):
+        code, out, err = run(capsys, "check", "--left", "A", "--right", "AW",
+                             "--rel", "pomset", "--pre", "--restrict", "",
+                             "--level", "0", procfile)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,flag", [
         (("approx", "--left", "A", "--right", "AW", "--rel", "pomset",

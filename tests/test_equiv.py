@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from conftest import tree_corpus
-from pomcheck.equiv import RelationKind, bisim, extend_iso
+from pomcheck.equiv import RelationKind, bisim
 from pomcheck.errors import StructuralError
 from pomcheck.estructure import action_transitions, compiled
 from pomcheck.pomset import singleton, step_of
@@ -126,24 +126,3 @@ def test_posetal_kinds_reject_trees():
 def test_tree_native_pomset_kind_accepts_trees():
     assert bisim(prefix(A), prefix(A), RelationKind.POMSET).related
     assert not bisim(prefix(A), prefix(B), RelationKind.STEP).related
-
-
-class TestExtendIso:
-    def test_extend_empty(self):
-        assert extend_iso(frozenset(), "e", "f", "a", "a") == {("e", "f")}
-
-    def test_size_grows_by_one(self):
-        f = extend_iso(frozenset(), 1, 2, "a", "a")
-        g = extend_iso(f, 3, 4, "b", "b")
-        assert len(g) == len(f) + 1 == 2
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(StructuralError):
-            extend_iso(frozenset(), "e", "f", "a", "b")
-
-    def test_duplicate_endpoints_rejected(self):
-        f = extend_iso(frozenset(), 1, 2, "a", "a")
-        with pytest.raises(StructuralError):
-            extend_iso(f, 1, 5, "a", "a")
-        with pytest.raises(StructuralError):
-            extend_iso(f, 5, 2, "a", "a")

@@ -1,8 +1,14 @@
 """Labelled posets, canonicalization and pomset algebra."""
 
+import os
 import random
+import subprocess
+import sys
+import types
 
 import pytest
+
+import pomcheck
 
 from conftest import (
     brute_force_iso,
@@ -13,14 +19,9 @@ from conftest import (
 from pomcheck.errors import StructuralError
 from pomcheck.pomset import (
     EMPTY_POMSET,
-    EMPTY_POSET,
     LabelledPoset,
     canonicalize,
     chain_of,
-    is_isomorphic,
-    is_step,
-    restrict,
-    series_compose,
     singleton,
     step_of,
 )
@@ -43,6 +44,22 @@ class TestLabelledPoset:
         with pytest.raises(StructuralError):
             lp("a", [("a", "a")], {"a": "x"})
 
+    def test_cycle_message_does_not_depend_on_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(pomcheck.__file__))
+        code = ("from pomcheck import parse_pomset\n"
+                "try:\n"
+                "    parse_pomset('pomset{a:x; b:y; c:z; a<b; b<c; c<a}')\n"
+                "except Exception as exc:\n"
+                "    print(exc)\n")
+        messages = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60, check=True,
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert messages == {"1:1: order is cyclic or reflexive at 'a'\n"}
+
     def test_rejects_partial_labelling(self):
         with pytest.raises(StructuralError):
             lp("ab", [], {"a": "x"})
@@ -64,7 +81,7 @@ class TestLabelledPoset:
 
 class TestCanonicalize:
     def test_empty_poset(self):
-        assert canonicalize(EMPTY_POSET) == EMPTY_POMSET
+        assert canonicalize(lp((), (), {})) == EMPTY_POMSET
         assert len(EMPTY_POMSET) == 0
 
     def test_relabeling_symmetry(self):
@@ -97,76 +114,33 @@ class TestCanonicalize:
 
 
 class TestIsIsomorphic:
+    """Isomorphism of labelled posets is equality of canonical forms."""
+
     def test_empty_pair(self):
-        assert is_isomorphic(EMPTY_POSET, EMPTY_POSET)
+        assert canonicalize(lp((), (), {})) == canonicalize(lp((), (), {}))
 
     def test_chain_vs_antichain(self):
         ch = lp("uv", [("u", "v")], {"u": "a", "v": "b"})
         an = lp("uv", [], {"u": "a", "v": "b"})
-        assert not is_isomorphic(ch, an)
+        assert canonicalize(ch) != canonicalize(an)
 
     def test_exhaustive_small(self):
         posets = list(labelled_posets(3, "ab"))
         for p in posets:
             for q in posets:
-                assert is_isomorphic(p, q) == brute_force_iso(p, q)
+                assert (canonicalize(p) == canonicalize(q)) == \
+                    brute_force_iso(p, q)
 
 
 class TestIsStep:
     def test_empty(self):
-        assert is_step(EMPTY_POMSET)
+        assert EMPTY_POMSET.is_step()
 
     def test_antichain(self):
-        assert is_step(step_of(["a", "b"]))
+        assert step_of(["a", "b"]).is_step()
 
     def test_chain(self):
-        assert not is_step(chain_of(["a", "b"]))
-
-
-class TestSeriesCompose:
-    def test_identity_element(self):
-        v = lp("uv", [("u", "v")], {"u": "a", "v": "b"})
-        assert series_compose(EMPTY_POSET, v) == v
-        assert canonicalize(series_compose(v, EMPTY_POSET)) == canonicalize(v)
-
-    def test_singleton_composition_is_chain(self):
-        a = lp("x", [], {"x": "a"})
-        b = lp("y", [], {"y": "b"})
-        assert canonicalize(series_compose(a, b)) == chain_of(["a", "b"])
-
-    def test_order_count(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            u = random_labelled_poset(rng, rng.randint(0, 4), "ab")
-            v = random_labelled_poset(rng, rng.randint(0, 4), "ab")
-            r = series_compose(u, v)
-            assert len(r.order) == len(u.order) + len(v.order) + len(u) * len(v)
-
-    def test_renames_on_collision(self):
-        u = lp("x", [], {"x": "a"})
-        r = series_compose(u, u)
-        assert len(r) == 2 and len(r.order) == 1
-
-
-class TestRestrict:
-    def test_empty_subset(self):
-        p = lp("ab", [("a", "b")], {"a": "x", "b": "y"})
-        assert restrict(p, ()) == EMPTY_POSET
-
-    def test_full_subset_identity(self):
-        p = lp("ab", [("a", "b")], {"a": "x", "b": "y"})
-        assert restrict(p, p.events) == p
-
-    def test_chain_endpoints_keep_transitive_pair(self):
-        p = lp("uvw", [("u", "v"), ("v", "w")],
-               {"u": "a", "v": "b", "w": "c"})
-        r = restrict(p, {"u", "w"})
-        assert canonicalize(r) == chain_of(["a", "c"])
-
-    def test_unknown_event_rejected(self):
-        p = lp("a", [], {"a": "x"})
-        with pytest.raises(StructuralError):
-            restrict(p, {"zz"})
+        assert not chain_of(["a", "b"]).is_step()
 
 
 class TestPomsetValue:
@@ -179,3 +153,25 @@ class TestPomsetValue:
         xs = {singleton("a"), step_of("ab"), chain_of("ab"), EMPTY_POMSET}
         assert len(xs) == 4
         assert sorted(xs)[0] == EMPTY_POMSET
+
+
+PUBLIC = {
+    "BACKEND", "InternalInconsistencyError", "LabelledPoset", "NIL",
+    "OMEGA", "ParseError", "PomcheckError", "Pomset", "PrimeEventStructure",
+    "ProcessState", "RelationKind", "StratParams", "StructuralError",
+    "SyncTree", "Verdict", "Witness", "bisim", "canonicalize", "chain_of",
+    "characteristic_tree", "compile_tree", "compiled", "distinguishing_tree",
+    "enumerate_trees", "fin_preorder", "finitary_via_trees", "format_pomset",
+    "format_tree", "kernel", "level_approx", "parse", "parse_pomset",
+    "parse_term", "prefix", "random_tree", "singleton", "step_of", "strat",
+    "strat_omega",
+}
+
+
+def test_public_surface_and_one_pomset_constructor():
+    names = {n for n, v in vars(pomcheck).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert names == PUBLIC
+    with pytest.raises(TypeError):
+        pomcheck.Pomset(lp(["e0", "e1"], [("e1", "e0")],
+                           {"e0": "b", "e1": "a"}))

@@ -19,7 +19,6 @@ from pomcheck.synctree import (
     _sorted_summands,
     prefix,
     subtrees,
-    tree_divergent,
     tree_size,
     tree_transitions,
 )
@@ -58,10 +57,10 @@ def test_transitions_single_summand():
 
 
 def test_divergence_flag():
-    assert not tree_divergent(NIL)
-    assert tree_divergent(OMEGA)
-    assert tree_divergent(prefix(A).with_omega())
-    assert not tree_divergent(prefix(A))
+    assert not NIL.divergent
+    assert OMEGA.divergent
+    assert prefix(A).with_omega().divergent
+    assert not prefix(A).divergent
 
 
 def test_sizes_and_depths():
