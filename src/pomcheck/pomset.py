@@ -260,6 +260,4 @@ EMPTY_POMSET = step_of(())
 def chain_of(labels: Iterable[Label]) -> Pomset:
     """The totally ordered pomset with the given label sequence."""
     labels = list(labels)
-    names = [f"e{i}" for i in range(len(labels))]
-    order = [(names[i], names[i + 1]) for i in range(len(labels) - 1)]
-    return canonicalize(LabelledPoset(names, order, dict(zip(names, labels))))
+    return shape_pomset(labels, [(1 << i) - 1 for i in range(len(labels))])

@@ -22,7 +22,7 @@ from typing import FrozenSet, Optional, Union
 
 from ._engine import OMEGA, ranks, stable_depth, table_of
 from .equiv import RelationKind, Verdict, Witness, verdict
-from .errors import StructuralError
+from .errors import InternalInconsistencyError, StructuralError
 from .pomset import Pomset
 
 Level = Union[int, str]
@@ -135,6 +135,8 @@ def finitary_via_trees(
     definitive when the bounded enumeration finished within budget,
     bound-exhausted otherwise.
     """
+    # imported here, not at the top: testgen imports this module at its
+    # top, and the two top-level imports would form a cycle
     from . import testgen
 
     r = _ranks(p, q, kind, None)
@@ -153,8 +155,6 @@ def finitary_via_trees(
         checked += 1
         ts = testgen.tree_as_process(t, kind)
         if prebisim(ts, p, kind).related and not prebisim(ts, q, kind).related:
-            from .errors import InternalInconsistencyError
-
             raise InternalInconsistencyError(
                 "tree test contradicts the finitary preorder; this is a bug"
             )

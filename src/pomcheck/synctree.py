@@ -18,20 +18,23 @@ from .pomset import Pomset
 class SyncTree:
     """Immutable synchronization tree.
 
-    ``summands`` is normalized: sorted by (prefix, child) sort key;
-    duplicate summands are kept (they are semantically idempotent but
-    syntactically preserved).  ``size`` (node count), ``depth`` (longest
-    prefix path) and ``event_count`` (pomset events along all paths, the
-    compile size) are summed from the children's fields.
+    Trees are ordered by one walk, :func:`_compare_summands`: a tree
+    compares by its divergence flag (convergent first), then summand by
+    summand, each by its prefix's ``Pomset.sort_key`` and then by its
+    child, and last by its number of summands.  ``summands`` is
+    normalized into that order; duplicate summands are kept (they are
+    semantically idempotent but syntactically preserved).  ``size``
+    (node count), ``depth`` (longest prefix path) and ``event_count``
+    (pomset events along all paths, the compile size) are summed from
+    the children's fields.
 
     The hash is taken over the prefix pomsets and the children's hashes,
-    not over the nested ``sort_key``, so building a node costs time in
-    its own summands only and a chain is built in time linear in its
-    depth.  Equal trees have equal sort keys, hence equal prefixes and
-    equal children in the same order, hence equal hashes.
+    so building a node costs time in its own summands only and a chain
+    is built in time linear in its depth.  Equal trees have equal
+    prefixes and equal children in the same order, hence equal hashes.
     """
 
-    __slots__ = ("_summands", "_divergent", "_key", "_hash",
+    __slots__ = ("_summands", "_divergent", "_hash",
                  "size", "depth", "event_count")
 
     def __init__(self, summands: Iterable[Tuple[Pomset, "SyncTree"]] = (),
@@ -39,6 +42,8 @@ class SyncTree:
         summands = tuple(summands)
         size, depth, event_count = 1, 0, 0
         for prefix, child in summands:
+            if not isinstance(prefix, Pomset):
+                raise StructuralError("summand prefix must be a Pomset")
             n = len(prefix)
             if n == 0:
                 raise StructuralError("empty pomset prefixes are not allowed")
@@ -53,10 +58,6 @@ class SyncTree:
         divergent = bool(divergent)
         object.__setattr__(self, "_summands", summands)
         object.__setattr__(self, "_divergent", divergent)
-        object.__setattr__(self, "_key", (
-            divergent,
-            tuple([(p.sort_key, c._key) for p, c in summands]),
-        ))
         object.__setattr__(self, "_hash", hash((
             divergent,
             tuple([(p, c._hash) for p, c in summands]),
@@ -76,31 +77,20 @@ class SyncTree:
     def divergent(self) -> bool:
         return self._divergent
 
-    @property
-    def sort_key(self):
-        return self._key
-
     def with_omega(self) -> "SyncTree":
         """This tree with a divergence summand added at the root."""
         return SyncTree(self._summands, True)
 
     def __eq__(self, other):
-        """Equal sort keys, compared level by level on an explicit stack."""
+        """Equal roots, then equal summands under :func:`_compare_summands`."""
         if not isinstance(other, SyncTree):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            t, u = stack.pop()
-            if t is u:
-                continue
-            if (t._hash != u._hash or t._divergent != u._divergent
-                    or len(t._summands) != len(u._summands)):
-                return False
-            for (p, c), (q, d) in zip(t._summands, u._summands):
-                if p.sort_key != q.sort_key:
-                    return False
-                stack.append((c, d))
-        return True
+        return self is other or (
+            self._hash == other._hash
+            and self._divergent == other._divergent
+            and len(self._summands) == len(other._summands)
+            and not any(map(_compare_summands, self._summands, other._summands))
+        )
 
     def __hash__(self):
         return self._hash
@@ -112,12 +102,15 @@ class SyncTree:
 
 
 def _compare_summands(s, t) -> int:
-    """-1, 0 or 1 as ``(s[0].sort_key, s[1].sort_key)`` compares with ``t``'s.
+    """-1, 0 or 1 as summand ``s`` orders before, with or after ``t``.
 
-    The nested tuples are compared level by level on an explicit stack,
-    in the order tuple comparison visits them, so deep children do not
-    recurse: a child's key ``(divergent, summand keys)`` compares by its
-    flag, then summand by summand, then by its number of summands.
+    Summands compare by prefix, then by child; children compare by
+    divergence flag, then summand by summand, then by their number of
+    summands.  This is tuple order on the nested keys
+    ``(prefix.sort_key, (divergent, (summand keys...)))``, without
+    building them: the walk runs level by level on an explicit stack,
+    so deep children do not recurse.  Prefix sort keys are read only
+    when the prefixes differ; parsed singletons are shared objects.
     """
     stack = [(s, t)]
     while stack:
@@ -127,7 +120,7 @@ def _compare_summands(s, t) -> int:
                 return -1 if item < 0 else 1
             continue
         (p, c), (q, d) = item
-        if p.sort_key != q.sort_key:
+        if p is not q and p != q:
             return -1 if p.sort_key < q.sort_key else 1
         if c is d:
             continue
@@ -140,10 +133,10 @@ def _compare_summands(s, t) -> int:
 
 
 def _sorted_summands(summands) -> tuple:
-    """``summands`` in the order of their nested sort keys.
+    """``summands`` in :func:`_compare_summands` order.
 
-    Prefix keys are flat, so the children are compared, with
-    :func:`_compare_summands`, only when two prefixes are equal.
+    Prefix keys are flat, so the children are compared only when two
+    prefixes are equal.
     """
     out = sorted(summands, key=lambda s: s[0].sort_key)
     if any(s[0] == t[0] for s, t in zip(out, out[1:])):

@@ -8,16 +8,18 @@ A characteristic tree reads the transition table of its state and kind
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 from . import estructure as es_mod
+from . import prebisim as pb
 from ._engine import table_of
 from .equiv import RelationKind
 from .errors import InternalInconsistencyError
 from .estructure import ProcessState
 from .pomset import Pomset, singleton, step_of, chain_of
-from .synctree import NIL, OMEGA, SyncTree
+from .synctree import NIL, OMEGA, SyncTree, _compare_summands
 
 
 def tree_as_process(t: SyncTree, kind: RelationKind):
@@ -48,7 +50,7 @@ def enumerate_trees(
     yield from pool
     for d in range(1, depth + 1):
         cands = [(u, t) for u in alphabet for t in pool]
-        cands.sort(key=lambda s: (s[0].sort_key, s[1].sort_key))
+        cands.sort(key=cmp_to_key(_compare_summands))
         fresh = []
         for k in range(1, width + 1):
             for combo in combinations_with_replacement(cands, k):
@@ -108,8 +110,6 @@ def characteristic_tree(
 def _candidates(p, q, kind: RelationKind, n):
     """The candidate trees of :func:`distinguishing_tree`, each made
     only when the one before it has failed."""
-    from . import prebisim as pb
-
     yield characteristic_tree(p, None, n, kind)
     if kind.posetal:
         # action-prefixed trees linearize histories and often fail the
@@ -133,8 +133,6 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
     compiles to a structure isomorphic to ``p``'s, so for the posetal
     kinds it lies below ``p``, and below ``q`` only if ``p`` does.
     """
-    from . import prebisim as pb
-
     n = pb.first_failing_level(p, q, kind)
     return None if n is None else _distinguishing_tree(p, q, kind, n)
 
@@ -142,8 +140,6 @@ def distinguishing_tree(p, q, kind: RelationKind) -> Optional[SyncTree]:
 def _distinguishing_tree(p, q, kind: RelationKind, n: int) -> SyncTree:
     """:func:`distinguishing_tree` of a pair that fails at level ``n``,
     for a caller that already has the level."""
-    from . import prebisim as pb
-
     for chi in _candidates(p, q, kind, n):
         ts = tree_as_process(chi, kind)
         if pb.prebisim(ts, p, kind).related and not pb.prebisim(ts, q, kind).related:

@@ -169,6 +169,13 @@ def chain_tree(depth: int, label: str = "a"):
     return t
 
 
+def nested_key(t):
+    """``t``'s order as the nested tuple ``(divergent, ((prefix sort key,
+    child key), ...))``; recursive, so for shallow trees only."""
+    return (t.divergent,
+            tuple((p.sort_key, nested_key(c)) for p, c in t.summands))
+
+
 def f1_terms(labels):
     """The three F1 processes over a label multiset: {m}:0, Q and {m}:W + W."""
     m = ",".join(labels)

@@ -1,5 +1,6 @@
 """Labelled posets, canonicalization and pomset algebra."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -153,6 +154,19 @@ class TestPomsetValue:
         xs = {singleton("a"), step_of("ab"), chain_of("ab"), EMPTY_POMSET}
         assert len(xs) == 4
         assert sorted(xs)[0] == EMPTY_POMSET
+
+    def test_chain_of_matches_canonicalized_poset(self):
+        # every label sequence of length 1-7 over {a,b,c}, and a few
+        # longer ones whose event names do not sort by index
+        rng = random.Random("chain-of")
+        seqs = [seq for n in range(1, 8)
+                for seq in itertools.product("abc", repeat=n)]
+        seqs += [[rng.choice("abc") for _ in range(n)] for n in (11, 12, 20)]
+        for seq in seqs:
+            names = [f"e{i}" for i in range(len(seq))]
+            order = list(zip(names, names[1:]))
+            want = canonicalize(lp(names, order, dict(zip(names, seq))))
+            assert chain_of(seq).key == want.key, seq
 
 
 PUBLIC = {

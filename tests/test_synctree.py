@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import chain_tree, tree_corpus
+from conftest import chain_tree, nested_key, tree_corpus
 
 from pomcheck.equiv import RelationKind, bisim
 from pomcheck.errors import StructuralError
@@ -48,6 +48,12 @@ def test_empty_prefix_rejected():
 def test_child_must_be_tree():
     with pytest.raises(StructuralError):
         SyncTree([(A, "not a tree")])
+
+
+def test_prefix_must_be_pomset():
+    for bad in ("a", ("a",)):
+        with pytest.raises(StructuralError):
+            SyncTree([(bad, NIL)])
 
 
 def test_transitions_single_summand():
@@ -173,15 +179,19 @@ def test_hash_contract_on_a_very_deep_chain():
     assert back.depth == 20000 and back.size == 20001
 
 
+def _summand_key(s):
+    return (s[0].sort_key, nested_key(s[1]))
+
+
 def _tuple_order(s, t):
-    a = (s[0].sort_key, s[1].sort_key)
-    b = (t[0].sort_key, t[1].sort_key)
+    a, b = _summand_key(s), _summand_key(t)
     return (a > b) - (a < b)
 
 
 def test_summand_order_is_the_nested_tuple_order():
     # one-event prefixes over two labels, so many summands tie on their
     # prefix and are ordered by their children
+    assert not hasattr(NIL, "sort_key")
     summands = []
     for seed in range(200):
         t = random_tree(f"order-{seed}", 12, ("a", "b"), max_prefix_events=1)
@@ -191,9 +201,10 @@ def test_summand_order_is_the_nested_tuple_order():
     for _ in range(5000):
         s, t = rng.choice(summands), rng.choice(summands)
         assert _compare_summands(s, t) == _tuple_order(s, t)
+        assert (s[1] == t[1]) == (nested_key(s[1]) == nested_key(t[1]))
     for _ in range(300):
         sample = rng.sample(summands, rng.randint(2, 12))
-        want = sorted(sample, key=lambda s: (s[0].sort_key, s[1].sort_key))
+        want = sorted(sample, key=_summand_key)
         assert list(_sorted_summands(sample)) == want
         assert SyncTree(sample).summands == tuple(want)
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import pair_oracle
-from conftest import f1_terms, tree_corpus
+from conftest import f1_terms, nested_key, tree_corpus
 from pomcheck import prebisim as pb
 from pomcheck import testgen
 from pomcheck.equiv import RelationKind
@@ -47,6 +47,28 @@ class TestEnumerateTrees:
             got = len(list(enumerate_trees({A}, d, 1)))
             assert got == expect
             expect = 2 * (1 + expect)
+
+    def test_order_is_the_nested_tuple_order(self):
+        # shallow trees first; each depth's fresh trees come in order of
+        # summand count and then of the sorted candidate summands, which
+        # is their nested-tuple order
+        trees = list(enumerate_trees({A, B}, 2, 2))
+        assert trees[:2] == [NIL, OMEGA]
+        pool = trees[:2]
+        for d in (1, 2):
+            cands = sorted(((u, t) for u in (A, B) for t in pool),
+                           key=lambda s: (s[0].sort_key, nested_key(s[1])))
+            want = [SyncTree(combo, div)
+                    for k in (1, 2)
+                    for combo in itertools.combinations_with_replacement(
+                        cands, k)
+                    for div in (False, True)]
+            want = [t for t in want if t.depth == d]
+            got = trees[len(pool):len(pool) + len(want)]
+            assert [nested_key(t) for t in got] == \
+                [nested_key(t) for t in want]
+            pool = pool + want
+        assert len(trees) == len(pool)
 
     def test_no_duplicates_and_bounds(self):
         trees = list(enumerate_trees({A, B}, 2, 2))
