@@ -33,13 +33,19 @@ The hp/hhp kinds run the same rounds over the posetal product, grown
 from the root triple in one pass over each structure's configuration
 graph, with configurations as bitmasks and each isomorphism packed into
 an int, and built afresh by each query that reads it; hp runs over the
-product quotiented by relevant events.
+product quotiented by relevant events.  Both products keep one node per
+orbit under swaps of twin events (same label, causes, conflicts and
+events above), interned by the count of each twin class in C and D and
+of ``f``'s pairs in each pair of classes; twin swaps preserve labels,
+causality, conflict, relevance and divergence, so ranks are constant on
+an orbit, and every swap fixes the root, so levels and witnesses are
+those of the full product (:func:`_posetal_product` gives the proof).
 
 No query reads :func:`successors`, :func:`pair_space` or the
 triple-keyed tables of :func:`triple_space`, :func:`triple_transitions`
-and :func:`sub_triples`, each of which builds the int product and
-decodes it; the benchmark's traced replay calls them layer by layer,
-and the test oracles read them.
+and :func:`sub_triples`, each of which builds the full int product, one
+node per triple, and decodes it; the benchmark's traced replay calls
+them layer by layer, and the test oracles read them.
 """
 
 from __future__ import annotations
@@ -162,7 +168,7 @@ def _slot_width(es2: PrimeEventStructure) -> int:
 
 
 def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
-                     hereditary: bool):
+                     hereditary: bool, orbits: bool = True):
     """The posetal product grown from the root triple in one pass.
 
     Built on each call; the caller reads it and lets it go.
@@ -173,11 +179,10 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     the two structures' configuration graphs, and ``iso`` packs the
     isomorphism into an int, one slot per event position of the left
     structure holding the position of its image in the right structure
-    plus one, so interning a node hashes three ints.  ``fwd[n]`` lists,
-    for each action extension of C, its label and the nodes that match
-    it, as the ``(labels, groups)`` pair that :func:`demand` reads (the
-    labels are shared by every node at C); ``bwd[n]`` does the same for
-    the extensions of D.
+    plus one.  ``fwd[n]`` lists, for each action extension of C, its
+    label and the nodes that match it, as the ``(labels, groups)`` pair
+    that :func:`demand` reads (the labels are shared by every node at
+    C); ``bwd[n]`` does the same for the extensions of D.
     Events enabled at C or D cause nothing inside them, so ``(C, f, D)``
     extends by an equally labelled pair ``(e, g)`` of enabled events
     exactly when ``f`` maps the causes of ``e`` onto the causes of
@@ -201,6 +206,32 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     this).
     Relevance is computed once per configuration met.  hhp keeps full
     triples, whose sub-triples its closure reads.
+
+    With ``orbits`` (the default; :func:`_triple_tables` turns it off to
+    list every triple) a node stands for its orbit under swaps of twin
+    events (``estructure._twin_classes``), interned by an orbit key,
+    and only the first member the pass meets is extended.  The key is
+    three ints of one-hot units of ``bw = max(n1, n2).bit_length()``
+    bits: C's count of events in each left class, D's in each right
+    class, and the count of ``f``'s pairs in each (left class, right
+    class) cell, except that a left class of one event holds, in place
+    of its row of counts, its image's class plus one, so the pair key
+    stays linear in the events.  An extension adds one pair unit and an hp
+    relevance drop subtracts one; each configuration's count is read
+    once, from the configuration graph.  When neither side has twins
+    the key is ``(C, iso, D)`` itself.
+    The reduction keeps every rank.  A pair (σ, τ) of twin permutations,
+    one per side, is an automorphism of each structure that keeps
+    labels, causality, conflict, relevance and (by the twin table's
+    guard) divergence, so it maps nodes to nodes, keeps ``demand`` and
+    maps candidates to candidates and sub-triples to sub-triples: ranks
+    are constant on an orbit.  Equal keys mean one orbit, since σ and τ
+    can be built one class at a time, matching the pairs of each cell;
+    and the orbits met from one member's extensions are those met from
+    any member's.  Every such automorphism fixes the root, so the
+    root's labels and obligations keep their order, its candidates
+    become their orbits' nodes, and levels and witnesses do not change;
+    only the node count and the rank multiset shrink.
     """
     graph1 = es_mod._config_graph(es1)
     graph2 = es_mod._config_graph(es2)
@@ -219,37 +250,77 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
         cause_slots.append(tuple(slots))
     if not hereditary:
         rel1, rel2 = _Relevance(masks1.above), _Relevance(masks2.above)
+    n1, n2 = len(es1.events), len(es2.events)
+    twins1 = orbits and es_mod._twin_classes(es1)
+    twins2 = orbits and es_mod._twin_classes(es2)
+    orbits = bool(twins1 or twins2)
+    if orbits:
+        cls1, cls2 = twins1 or range(n1), twins2 or range(n2)
+        k2 = max(cls2, default=-1) + 1
+        bw, cw = max(n1, n2).bit_length(), k2.bit_length()
+        sizes = [0] * (max(cls1, default=-1) + 1)
+        for a in cls1:
+            sizes[a] += 1
+        row_at, end = [], 0  # each left class's place in the pair key
+        for size in sizes:
+            row_at.append(end)
+            end += cw if size == 1 else bw * k2
+        counts1, counts2 = {0: 0}, {0: 0}
+
+        def unit(i, j):
+            """The pair key's unit for the pair of positions (i, j)."""
+            a, b = cls1[i], cls2[j]
+            if sizes[a] == 1:
+                return b + 1 << row_at[a]
+            return 1 << row_at[a] + bw * b
+
     root = (0, 0, 0)
-    nodes, doms, fwd, bwd = [root], [0], [], []
+    nodes, doms, pkeys, fwd, bwd = [root], [0], [0], [], []
     index = {root: 0}
     rows_at, buckets_at = {}, {}
     for c, f, d in nodes:  # grows while it is read: one pass, breadth first
         dom = doms[len(fwd)]
+        if orbits:
+            pk = pkeys[len(fwd)]
         at_c = rows_at.get(c)
         if at_c is None:  # C's extensions, once per pass
+            edges = graph1[c]
+            if orbits:  # with their class counts
+                here = counts1[c]
+                cc = [counts1.setdefault(c2, here + (1 << bw * cls1[i]))
+                      for _, i, c2 in edges]
+            else:
+                cc = [c2 for _, _, c2 in edges]
             at_c = rows_at[c] = [
-                (lab, 1 << i, width * i, cause_slots[i], c2)
-                for lab, i, c2 in graph1[c]
-            ], tuple([lab for lab, _, _ in graph1[c]])
+                (lab, i, 1 << i, width * i, cause_slots[i], c2, k)
+                for (lab, i, c2), k in zip(edges, cc)
+            ], tuple([lab for lab, _, _ in edges])
         rows, labels1 = at_c
         at_d = buckets_at.get(d)
         if at_d is None:  # D's extensions by label and cause mask, once
             edges = graph2[d]
             buckets = {}
             for k, (lab, j, d2) in enumerate(edges):
+                if orbits:
+                    dk = counts2.setdefault(
+                        d2, counts2[d] + (1 << bw * cls2[j]))
+                else:
+                    dk = d2
                 buckets.setdefault((lab, causes2[j]), []).append(
-                    (k, j + 1, d2))
+                    (k, j + 1, d2, dk))
             at_d = buckets_at[d] = buckets, tuple([lab for lab, _, _ in edges])
         buckets, labels2 = at_d
         back = [[] for _ in labels2]
         groups = []
-        for lab, bit, at, slots, c2 in rows:
+        for lab, i, bit, at, slots, c2, ck in rows:
             m = 0
             for s in slots:  # the images of e's causes
                 m |= 1 << ((f >> s & full) - 1)
             cands = []
-            for k, s, d2 in buckets.get((lab, m), ()):
+            for k, s, d2, dk in buckets.get((lab, m), ()):
                 f2, dom2 = f | s << at, dom | bit
+                if orbits:
+                    pk2 = pk + unit(i, s - 1)
                 if not hereditary:
                     r2 = rel2[d2]
                     gone = dom2 & ~rel1[c2]
@@ -261,12 +332,17 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
                         if not r2 >> (b - 1) & 1:
                             f2 -= b << a
                             dom2 ^= x
-                key = (c2, f2, d2)
+                            if orbits:
+                                pk2 -= unit(x.bit_length() - 1, b - 1)
+                node = (c2, f2, d2)
+                key = (ck, pk2, dk) if orbits else node
                 t = index.get(key)
                 if t is None:
                     t = index[key] = len(nodes)
-                    nodes.append(key)
+                    nodes.append(node)
                     doms.append(dom2)
+                    if orbits:
+                        pkeys.append(pk2)
                 cands.append(t)
                 back[k].append(t)
             groups.append(tuple(cands))
@@ -280,7 +356,7 @@ def _triple_tables(es1: PrimeEventStructure, es2: PrimeEventStructure):
 
     Masks and slots are decoded back to event sets and event pairs.
     """
-    nodes, fwd, bwd = _posetal_product(es1, es2, True)
+    nodes, fwd, bwd = _posetal_product(es1, es2, True, orbits=False)
     sets1, sets2 = es_mod._config_sets(es1), es_mod._config_sets(es2)
     events1, events2 = es1.events, es2.events
     width = _slot_width(es2)
@@ -385,7 +461,8 @@ class Ranks:
     ``rank`` maps each removed node to the Kleene round that removed it;
     nodes never removed have no entry.  ``fwd`` and ``bwd`` are the
     root's transfer obligations, labelled by pomsets and in witness
-    order.  ``size`` counts the nodes explored.
+    order.  ``size`` counts the nodes explored; for hp/hhp a node is an
+    orbit's representative, so ``size`` counts orbits, not triples.
     """
 
     rank: dict
@@ -541,8 +618,8 @@ def _pair_ranks(p, q, kind, restriction, pre, everywhere=False) -> Ranks:
 def _triple_ranks(es1, es2, hereditary, restriction, pre) -> Ranks:
     """Rounds over the posetal product of the two structures.
 
-    hp runs over the product quotiented by relevant events, hhp over the
-    full product.
+    hp runs over the product quotiented by relevant events, hhp over
+    whole triples; both keep one node per twin orbit.
     """
     acts = None
     if restriction is not None:

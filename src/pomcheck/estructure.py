@@ -12,7 +12,9 @@ events it causes immediately.  :func:`compile_tree` writes these masks
 straight from the tree in one pass; a structure built by hand from sets
 converts them once.  The set views ``causes``, ``conflicts`` and
 ``divergent_configs`` are built only when something reads them (the
-history posets and the test oracles).
+history posets and the test oracles).  :func:`_twin_classes` groups
+events that a swap maps onto each other, for the posetal product's
+symmetry reduction.
 
 :func:`_config_graph` maps each configuration mask to its one-event
 extensions, grown from the empty configuration, with each
@@ -329,6 +331,40 @@ def _divergent_sets(es: PrimeEventStructure) -> frozenset:
     events = es.events
     return frozenset(frozenset([events[i] for i in _bits(m)])
                      for m in es._masks.divergent)
+
+
+@derived_table
+def _twin_classes(es: PrimeEventStructure) -> tuple:
+    """Each event position's twin class id, or ``()`` when no swap applies.
+
+    Twins share a label, a cause mask, a conflict mask and an above
+    mask, so swapping two of them maps labels, causality and conflict
+    onto themselves; class ids count from 0 in order of first position.
+    The table is empty when no class has two members, or when swapping
+    some twin pair moves a divergent configuration out of the divergent
+    set: a structure built by hand can do that, a compiled tree cannot
+    (its twins lie in one prefix, which a divergent configuration holds
+    whole or not at all).  Swaps of each class's first member with each
+    other member generate every permutation within classes, so checking
+    them checks all.
+    """
+    labels, causes, conflicts, above, _, divergent = es._masks
+    ids, classes, first = {}, [], []
+    for i, twin in enumerate(zip(labels, causes, conflicts, above)):
+        k = ids.setdefault(twin, len(ids))
+        if k == len(first):
+            first.append(i)
+        classes.append(k)
+    if len(ids) == len(classes):
+        return ()
+    for i, k in enumerate(classes):
+        if i == first[k]:
+            continue
+        swap = 1 << first[k] | 1 << i
+        for m in divergent:
+            if m & swap not in (0, swap) and m ^ swap not in divergent:
+                return ()
+    return tuple(classes)
 
 
 @derived_table

@@ -1,12 +1,14 @@
 """The posetal product grown from the root against the enumerated one.
 
 The library grows the product from the root triple in one pass, and
-decides hp over the product quotiented by relevant events.  Its tables
-must equal those of the configs x configs enumeration in
-``posetal_oracle``, and its hp answers those of rounds over the full
-enumerated product.
+decides hp over the product quotiented by relevant events, and hp and
+hhp over one node per orbit under swaps of twin events.  Its full
+tables must equal those of the configs x configs enumeration in
+``posetal_oracle``, and its answers and every node's rank those of
+rounds over the full enumerated product.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ import posetal_oracle as oracle
 import table_oracle
 from conftest import f1_terms
 from pomcheck import _engine
+from pomcheck import estructure as es_mod
 from pomcheck import prebisim as pb
 from pomcheck.equiv import RelationKind, bisim, verdict
 from pomcheck.estructure import (
@@ -125,17 +128,20 @@ def test_hp_quotient_matches_full_product(family):
             assert pb.level_approx(p, q, HP, n) == full.holds_at(n)
 
 
-@pytest.mark.parametrize("labels,triples,hp_nodes", [
-    ("aaabb", 293, 162),
-    ("aaabbb", 1400, 526),
-    ("aaaabbb", 8270, 1808),
+@pytest.mark.parametrize("labels,triples,orbits", [
+    ("aaabb", 293, 23),
+    ("aaabbb", 1400, 30),
+    ("aaaabbb", 8270, 38),
+    ("aaaabbbb", 50795, 47),
 ])
-def test_f1_self_product_sizes(labels, triples, hp_nodes):
+def test_f1_self_product_sizes(labels, triples, orbits):
+    # the full product keeps every triple; hp and hhp build one node per
+    # orbit under swaps of twin events
     q_text = f1_terms(labels)[1]
     p, q = compiled(parse_term(q_text)), compiled(parse_term(q_text))
     assert len(_engine.triple_space(p.structure, q.structure)) == triples
-    assert _engine.ranks(p, q, HP).size == hp_nodes
-    assert _engine.ranks(p, q, HHP).size == triples
+    assert _engine.ranks(p, q, HP).size == orbits
+    assert _engine.ranks(p, q, HHP).size == orbits
     assert bisim(p, q, HP).related
     assert bisim(p, q, HHP).related
 
@@ -210,13 +216,14 @@ def test_positions_are_not_events():
         p, q = ProcessState(es1, EMPTY_CONFIG), ProcessState(es2, EMPTY_CONFIG)
         for kind in (HP, HHP):
             hereditary = kind is HHP
-            nodes = _engine._posetal_product(es1, es2, hereditary)[0]
-            node = {n: i for i, n in enumerate(nodes)}
+            nodes = _engine._posetal_product(es1, es2, hereditary,
+                                             orbits=False)[0]
             keys = {t: _node_key(es1, es2, t, hereditary, rel1, rel2)
                     for t in space}
             assert set(keys.values()) == set(nodes)
             if not hereditary:
                 quotient_sizes.append((len(nodes), len(space)))
+            orbit = _orbit_nodes(es1, es2, hereditary, space)
             pmax = pb.dominating_restriction(p, q, kind)
             assert pmax == _actions(es1, es2)
             queries = [
@@ -232,9 +239,9 @@ def test_positions_are_not_events():
                 rank = kleene_oracle.rescan_rounds(
                     demands, ofwd if hereditary else None)
                 r = _engine.ranks(p, q, kind, restriction, pre)
-                assert r.size == len(nodes)
+                assert r.size == len(set(orbit.values()))
                 for t in space:
-                    assert r.rank.get(node[keys[t]]) == rank.get(t)
+                    assert r.rank.get(orbit[t]) == rank.get(t)
                 root = oracle.ROOT_TRIPLE
                 full = _engine.Ranks(
                     rank, root,
@@ -245,3 +252,179 @@ def test_positions_are_not_events():
                 assert r.depth == full.depth
     # the hp quotient merges some triples
     assert any(n < size for n, size in quotient_sizes)
+
+
+# ---------------------------------------------------------------------------
+# orbits under swaps of twin events
+# ---------------------------------------------------------------------------
+
+
+def _twin_partition(es):
+    """Each event's twin class, read from the set views: events with one
+    label, one set of causes, of conflicts and of events above are
+    twins, unless swapping some twin pair moves a divergent configuration
+    out of the divergent set, in which case every event is its own
+    class."""
+    above = {e: frozenset(x for x in es.events if e in es.causes[x])
+             for e in es.events}
+    cls = {e: (es.labels[e], es.causes[e], es.conflicts[e], above[e])
+           for e in es.events}
+    div = es.divergent_configs
+    for e in es.events:
+        for g in es.events:
+            if e != g and cls[e] == cls[g]:
+                swap = {e: g, g: e}
+                if {frozenset(swap.get(x, x) for x in c) for c in div} != div:
+                    return {e: e for e in es.events}
+    return cls
+
+
+def _same_partition(es, cls):
+    """Whether the library's twin table groups ``es``'s events as ``cls``."""
+    table = es_mod._twin_classes(es)
+    if not table:
+        return len(set(cls.values())) == len(es.events)
+    pairs = {(i, j) for i, e in enumerate(es.events)
+             for j, g in enumerate(es.events) if cls[e] == cls[g]}
+    return pairs == {(i, j) for i, a in enumerate(table)
+                     for j, b in enumerate(table) if a == b}
+
+
+def _orbit_nodes(es1, es2, hereditary, space):
+    """Each full triple of ``space`` -> the library's node for its orbit.
+
+    Two triples lie in one orbit when their configurations hold as many
+    events of each twin class, and their isomorphisms (restricted for hp
+    to the pairs with a relevant side) as many pairs of each pair of
+    classes.  Asserts that the library's product has one node per orbit
+    and a node for every orbit.
+    """
+    cls1, cls2 = _twin_partition(es1), _twin_partition(es2)
+    assert _same_partition(es1, cls1) and _same_partition(es2, cls2)
+    rel1, rel2 = table_oracle.relevant(es1), table_oracle.relevant(es2)
+
+    def key(c, f, d):
+        if not hereditary:
+            f = [(a, b) for a, b in f if a in rel1[c] or b in rel2[d]]
+        return (frozenset(Counter(cls1[e] for e in c).items()),
+                frozenset(Counter((cls1[a], cls2[b]) for a, b in f).items()),
+                frozenset(Counter(cls2[g] for g in d).items()))
+
+    width = len(es2.events).bit_length()
+    reps = {}
+    for n, (c, f, d) in enumerate(
+            _engine._posetal_product(es1, es2, hereditary)[0]):
+        left = [i for i in range(len(es1.events)) if c >> i & 1]
+        slots = [(i, f >> width * i & (1 << width) - 1) for i in left]
+        pairs = [(es1.events[i], es2.events[s - 1]) for i, s in slots if s]
+        right = [es2.events[j] for j in range(len(es2.events)) if d >> j & 1]
+        reps[key(frozenset(es1.events[i] for i in left), pairs,
+                 frozenset(right))] = n
+        assert len(reps) == n + 1  # one node per orbit
+    orbit = {t: reps[key(*t)] for t in space}
+    assert len(set(orbit.values())) == len(reps)
+    return orbit
+
+
+# two x<y chains, which a history isomorphism may swap although their
+# events are not twins, beside twin a's: the hp key must forget the
+# pairs a node drops
+SWAPPED_CHAINS = ("pomset{x1:x; y1:y; x2:x; y2:y; x1<y1; x2<y2}:0 + {a,a}:0",
+                  "pomset{x1:x; y1:y; x2:x; y2:y; x1<y1; x2<y2}:W + {a,a}:0")
+
+
+def _repeated_label_pairs():
+    """F1 pairs over label multisets with twins, pairs of the
+    ``SWAPPED_CHAINS`` processes, and seeded random pairs whose prefixes
+    are mostly steps with repeated labels."""
+    pairs = [pq for m in ("aab", "aabbc", "aaabb") for pq in _f1_pairs(m)]
+    procs = [compiled(parse_term(text)) for text in SWAPPED_CHAINS]
+    pairs += [(p, q) for p in procs for q in procs]
+    for i in range(60):
+        p, q = (compiled(random_tree(f"{side}{i}", 6, ("a", "a", "b"),
+                                     max_prefix_events=3))
+                for side in "LR")
+        pairs += [(p, q), (p, p)]
+    return pairs
+
+
+def _assert_orbit_ranks(p, q, rng):
+    """hp and hhp, bisim and pre, with no restriction, the dominating one
+    and three random ones: every full triple's rank (rounds over the
+    enumerated product) is the rank of its orbit's node, and depth, root
+    level and witness agree."""
+    es1, es2 = p.structure, q.structure
+    space = oracle.triple_space(es1, es2)
+    fwd, bwd = oracle.triple_transitions(es1, es2)
+    acts = sorted({lab for es in (es1, es2) for lab in es.labels.values()})
+    restrictions = [None, set(acts)] + [
+        set(rng.sample(acts, rng.randint(0, len(acts)))) for _ in range(3)]
+    for kind in (HP, HHP):
+        hereditary = kind is HHP
+        orbit = _orbit_nodes(es1, es2, hereditary, space)
+        for pre in (False, True):
+            for labels in restrictions:
+                restriction = (None if labels is None
+                               else {singleton(lab) for lab in labels})
+                demands = oracle.triple_demands(fwd, bwd, es1, es2, labels,
+                                                pre)
+                rank = kleene_oracle.rescan_rounds(
+                    demands, fwd if hereditary else None)
+                r = _engine.ranks(p, q, kind, restriction, pre)
+                for t in space:
+                    assert r.rank.get(orbit[t]) == rank.get(t)
+                root = oracle.ROOT_TRIPLE
+                full = _engine.Ranks(
+                    rank, root,
+                    tuple((singleton(lab), c) for lab, c in fwd[root]),
+                    tuple((singleton(lab), c) for lab, c in bwd[root]),
+                    len(space))
+                assert r.depth == full.depth
+                assert r.level == full.level
+                assert verdict(r, True) == verdict(full, True)
+    return len(space)
+
+
+def test_ranks_are_constant_on_twin_orbits():
+    rng = random.Random(7)
+    reduced = 0
+    for p, q in _repeated_label_pairs():
+        size = _assert_orbit_ranks(p, q, rng)
+        if _engine.ranks(p, q, HHP).size < size:
+            reduced += 1
+    assert reduced >= 50  # the corpus exercises the reduction
+
+
+def test_twin_free_products_are_unreduced():
+    for family in ("f1-abcde", "random"):
+        for p, q in FAMILIES[family]()[:60]:
+            es1, es2 = p.structure, q.structure
+            if es_mod._twin_classes(es1) or es_mod._twin_classes(es2):
+                continue
+            for hereditary in (False, True):
+                assert (_engine._posetal_product(es1, es2, hereditary)
+                        == _engine._posetal_product(es1, es2, hereditary,
+                                                    orbits=False))
+
+
+def test_divergence_that_breaks_a_twin_swap_keeps_the_full_product():
+    rng = random.Random(3)
+    # u and v of the "abb" branch are twins; {t, u} diverges, {t, v} not
+    broken = [_hand_built([("abb", [(0, 1)]), ("abba", [(0, 1)])], 37, 3),
+              _hand_built([("abb", [(0, 1)]), ("abba", [(0, 1)])], 53, 11)]
+    assert [es_mod._twin_classes(es) for es in broken] == [(), ()]
+    es1, es2 = broken
+    assert (len(_engine._posetal_product(es1, es2, True)[0])
+            == len(_engine.triple_space(es1, es2)))
+    _assert_orbit_ranks(ProcessState(es1, EMPTY_CONFIG),
+                        ProcessState(es2, EMPTY_CONFIG), rng)
+    # {t, u} and {t, v} both diverge: the swap keeps divergence
+    symmetric = [
+        _hand_built([("abb", [(0, 1), (0, 2)]), ("abba", [(0, 1)])], 41, 7),
+        _hand_built([("abb", [(0, 1), (0, 2)]), ("abba", [(0, 1)])], 59, 5)]
+    assert all(es_mod._twin_classes(es) for es in symmetric)
+    es1, es2 = symmetric
+    assert (len(_engine._posetal_product(es1, es2, True)[0])
+            < len(_engine.triple_space(es1, es2)))
+    _assert_orbit_ranks(ProcessState(es1, EMPTY_CONFIG),
+                        ProcessState(es2, EMPTY_CONFIG), rng)
