@@ -35,11 +35,13 @@ graph, with configurations as bitmasks and each isomorphism packed into
 an int, and built afresh by each query that reads it; hp runs over the
 product quotiented by relevant events.  Both products keep one node per
 orbit under swaps of twin events (same label, causes, conflicts and
-events above), interned by the count of each twin class in C and D and
-of ``f``'s pairs in each pair of classes; twin swaps preserve labels,
-causality, conflict, relevance and divergence, so ranks are constant on
-an orbit, and every swap fixes the root, so levels and witnesses are
-those of the full product (:func:`_posetal_product` gives the proof).
+events above): each node is its orbit's canonical member, with every
+twin class filled from its least event up and ``f`` mapping to twin
+classes, not events, so a node is its own key; twin swaps preserve
+labels, causality, conflict, relevance and divergence, so ranks are
+constant on an orbit, and every swap fixes the root, so levels and
+witnesses are those of the full product (:func:`_posetal_product`
+gives the proof).
 
 No query reads :func:`successors`, :func:`pair_space` or the
 triple-keyed tables of :func:`triple_space`, :func:`triple_transitions`
@@ -178,11 +180,11 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     ``nodes[n]`` is ``(C, iso, D)``: C and D are configuration masks of
     the two structures' configuration graphs, and ``iso`` packs the
     isomorphism into an int, one slot per event position of the left
-    structure holding the position of its image in the right structure
-    plus one.  ``fwd[n]`` lists, for each action extension of C, its
-    label and the nodes that match it, as the ``(labels, groups)`` pair
-    that :func:`demand` reads (the labels are shared by every node at
-    C); ``bwd[n]`` does the same for the extensions of D.
+    structure holding its image's twin class (below) plus one.
+    ``fwd[n]`` lists, for each action extension of C (one per twin
+    class), its label and the nodes that match it, as the ``(labels,
+    groups)`` pair that :func:`demand` reads (the labels are shared by
+    every node at C); ``bwd[n]`` does the same for the extensions of D.
     Events enabled at C or D cause nothing inside them, so ``(C, f, D)``
     extends by an equally labelled pair ``(e, g)`` of enabled events
     exactly when ``f`` maps the causes of ``e`` onto the causes of
@@ -207,31 +209,36 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     Relevance is computed once per configuration met.  hhp keeps full
     triples, whose sub-triples its closure reads.
 
-    With ``orbits`` (the default; :func:`_triple_tables` turns it off to
-    list every triple) a node stands for its orbit under swaps of twin
-    events (``estructure._twin_classes``), interned by an orbit key,
-    and only the first member the pass meets is extended.  The key is
-    three ints of one-hot units of ``bw = max(n1, n2).bit_length()``
-    bits: C's count of events in each left class, D's in each right
-    class, and the count of ``f``'s pairs in each (left class, right
-    class) cell, except that a left class of one event holds, in place
-    of its row of counts, its image's class plus one, so the pair key
-    stays linear in the events.  An extension adds one pair unit and an hp
-    relevance drop subtracts one; each configuration's count is read
-    once, from the configuration graph.  When neither side has twins
-    the key is ``(C, iso, D)`` itself.
+    Each node is the canonical member of its orbit under swaps of twin
+    events (``estructure._twin_classes``; with ``orbits`` false, as
+    :func:`_triple_tables` asks to list every triple, each event is its
+    own class).  Three rules keep it so: C and D extend only by the
+    least unused event of each twin class, so every class fills from
+    its least position up; a slot holds its image's class (named by its
+    least position) plus one, not the image; and after an extension or
+    an hp drop the slots of a left class of two or more events are
+    sorted, largest first, into the class's first positions in C.  A
+    node is therefore its own orbit key, and without twins it is the
+    full triple.  Twins share causes and conflicts, so they are enabled
+    together and the least unused one stands for all; they share the
+    events above them, so every cause mask is a union of whole classes,
+    and ``f`` maps e's causes onto a cause mask exactly when the OR of
+    their images' class masks has as many events as e has causes (if it
+    has more, some class is split between images and nothing matches).
     The reduction keeps every rank.  A pair (σ, τ) of twin permutations,
     one per side, is an automorphism of each structure that keeps
     labels, causality, conflict, relevance and (by the twin table's
     guard) divergence, so it maps nodes to nodes, keeps ``demand`` and
     maps candidates to candidates and sub-triples to sub-triples: ranks
-    are constant on an orbit.  Equal keys mean one orbit, since σ and τ
-    can be built one class at a time, matching the pairs of each cell;
-    and the orbits met from one member's extensions are those met from
-    any member's.  Every such automorphism fixes the root, so the
-    root's labels and obligations keep their order, its candidates
-    become their orbits' nodes, and levels and witnesses do not change;
-    only the node count and the rank multiset shrink.
+    are constant on an orbit.  Two triples with equal canonical members
+    lie in one orbit, since σ and τ can be built one class at a time,
+    matching the pairs of each cell.  A swap of two unused twins fixes
+    a node, so twin extensions of C (of D) have the same candidate
+    orbits, and one obligation per class and one candidate per class
+    list every orbit the full product lists.  Every such automorphism
+    fixes the root, so the root's first failing obligation keeps its
+    label, and levels and witnesses do not change; only the node count,
+    the listings and the rank multiset shrink.
     """
     graph1 = es_mod._config_graph(es1)
     graph2 = es_mod._config_graph(es2)
@@ -240,109 +247,95 @@ def _posetal_product(es1: PrimeEventStructure, es2: PrimeEventStructure,
     width = _slot_width(es2)
     full = (1 << width) - 1
     # the slot offsets of each left event's causes
-    cause_slots = []
-    for m in masks1.causes:
-        slots = []
-        while m:
-            bit = m & -m
-            m ^= bit
-            slots.append(width * (bit.bit_length() - 1))
-        cause_slots.append(tuple(slots))
+    cause_slots = [tuple([width * i for i in es_mod._bits(m)])
+                   for m in masks1.causes]
     if not hereditary:
         rel1, rel2 = _Relevance(masks1.above), _Relevance(masks2.above)
-    n1, n2 = len(es1.events), len(es2.events)
-    twins1 = orbits and es_mod._twin_classes(es1)
-    twins2 = orbits and es_mod._twin_classes(es2)
-    orbits = bool(twins1 or twins2)
-    if orbits:
-        cls1, cls2 = twins1 or range(n1), twins2 or range(n2)
-        k2 = max(cls2, default=-1) + 1
-        bw, cw = max(n1, n2).bit_length(), k2.bit_length()
-        sizes = [0] * (max(cls1, default=-1) + 1)
-        for a in cls1:
-            sizes[a] += 1
-        row_at, end = [], 0  # each left class's place in the pair key
-        for size in sizes:
-            row_at.append(end)
-            end += cw if size == 1 else bw * k2
-        counts1, counts2 = {0: 0}, {0: 0}
+    cls1 = orbits and es_mod._twin_classes(es1) or range(len(es1.events))
+    cls2 = orbits and es_mod._twin_classes(es2) or range(len(es2.events))
 
-        def unit(i, j):
-            """The pair key's unit for the pair of positions (i, j)."""
-            a, b = cls1[i], cls2[j]
-            if sizes[a] == 1:
-                return b + 1 << row_at[a]
-            return 1 << row_at[a] + bw * b
+    def class_masks(cls):
+        """Each position's class as a mask of positions."""
+        out = [0] * len(cls)
+        for i, a in enumerate(cls):
+            out[a] |= 1 << i
+        return [out[a] for a in cls]
+
+    group1 = [m if m & m - 1 else 0 for m in class_masks(cls1)]
+    group2 = class_masks(cls2)
+
+    def settle(f, dom, c, touched):
+        """Sort the slots of each left class in ``touched`` that lie in
+        ``c`` into the class's first positions, largest first."""
+        while touched:
+            group = group1[(touched & -touched).bit_length() - 1]
+            touched &= ~group
+            at = es_mod._bits(group & c)
+            slots = sorted([f >> width * i & full for i in at], reverse=True)
+            for i, s in zip(at, slots):
+                f += s - (f >> width * i & full) << width * i
+                dom = dom | 1 << i if s else dom & ~(1 << i)
+        return f, dom
 
     root = (0, 0, 0)
-    nodes, doms, pkeys, fwd, bwd = [root], [0], [0], [], []
+    nodes, doms, fwd, bwd = [root], [0], [], []
     index = {root: 0}
     rows_at, buckets_at = {}, {}
     for c, f, d in nodes:  # grows while it is read: one pass, breadth first
         dom = doms[len(fwd)]
-        if orbits:
-            pk = pkeys[len(fwd)]
         at_c = rows_at.get(c)
-        if at_c is None:  # C's extensions, once per pass
-            edges = graph1[c]
-            if orbits:  # with their class counts
-                here = counts1[c]
-                cc = [counts1.setdefault(c2, here + (1 << bw * cls1[i]))
-                      for _, i, c2 in edges]
-            else:
-                cc = [c2 for _, _, c2 in edges]
-            at_c = rows_at[c] = [
-                (lab, i, 1 << i, width * i, cause_slots[i], c2, k)
-                for (lab, i, c2), k in zip(edges, cc)
-            ], tuple([lab for lab, _, _ in edges])
+        if at_c is None:  # C's extensions, one per twin class, once
+            rows, seen = [], set()
+            for lab, i, c2 in graph1[c]:
+                if cls1[i] not in seen:
+                    seen.add(cls1[i])
+                    rows.append((lab, 1 << i, width * i, cause_slots[i], c2,
+                                 group1[i]))
+            at_c = rows_at[c] = rows, tuple([row[0] for row in rows])
         rows, labels1 = at_c
         at_d = buckets_at.get(d)
-        if at_d is None:  # D's extensions by label and cause mask, once
-            edges = graph2[d]
-            buckets = {}
-            for k, (lab, j, d2) in enumerate(edges):
-                if orbits:
-                    dk = counts2.setdefault(
-                        d2, counts2[d] + (1 << bw * cls2[j]))
-                else:
-                    dk = d2
-                buckets.setdefault((lab, causes2[j]), []).append(
-                    (k, j + 1, d2, dk))
-            at_d = buckets_at[d] = buckets, tuple([lab for lab, _, _ in edges])
+        if at_d is None:  # D's, one per class, by label and cause mask
+            buckets, labels2, seen = {}, [], set()
+            for lab, j, d2 in graph2[d]:
+                if cls2[j] not in seen:
+                    seen.add(cls2[j])
+                    buckets.setdefault((lab, causes2[j]), []).append(
+                        (len(labels2), cls2[j] + 1, d2))
+                    labels2.append(lab)
+            at_d = buckets_at[d] = buckets, tuple(labels2)
         buckets, labels2 = at_d
         back = [[] for _ in labels2]
         groups = []
-        for lab, i, bit, at, slots, c2, ck in rows:
+        for lab, bit, at, slots, c2, group in rows:
             m = 0
-            for s in slots:  # the images of e's causes
-                m |= 1 << ((f >> s & full) - 1)
+            for s in slots:  # the classes of the images of e's causes
+                m |= group2[(f >> s & full) - 1]
             cands = []
-            for k, s, d2, dk in buckets.get((lab, m), ()):
-                f2, dom2 = f | s << at, dom | bit
-                if orbits:
-                    pk2 = pk + unit(i, s - 1)
+            hits = buckets.get((lab, m), ())
+            if m.bit_count() != len(slots):  # a class split between images
+                hits = ()
+            for k, s, d2 in hits:
+                f2, dom2, touched = f | s << at, dom | bit, group
                 if not hereditary:
                     r2 = rel2[d2]
                     gone = dom2 & ~rel1[c2]
                     while gone:
                         x = gone & -gone
                         gone ^= x
-                        a = width * (x.bit_length() - 1)
-                        b = f2 >> a & full
+                        i = x.bit_length() - 1
+                        b = f2 >> width * i & full
                         if not r2 >> (b - 1) & 1:
-                            f2 -= b << a
+                            f2 -= b << width * i
                             dom2 ^= x
-                            if orbits:
-                                pk2 -= unit(x.bit_length() - 1, b - 1)
+                            touched |= group1[i]
+                if touched:
+                    f2, dom2 = settle(f2, dom2, c2, touched)
                 node = (c2, f2, d2)
-                key = (ck, pk2, dk) if orbits else node
-                t = index.get(key)
+                t = index.get(node)
                 if t is None:
-                    t = index[key] = len(nodes)
+                    t = index[node] = len(nodes)
                     nodes.append(node)
                     doms.append(dom2)
-                    if orbits:
-                        pkeys.append(pk2)
                 cands.append(t)
                 back[k].append(t)
             groups.append(tuple(cands))
@@ -462,7 +455,11 @@ class Ranks:
     nodes never removed have no entry.  ``fwd`` and ``bwd`` are the
     root's transfer obligations, labelled by pomsets and in witness
     order.  ``size`` counts the nodes explored; for hp/hhp a node is an
-    orbit's representative, so ``size`` counts orbits, not triples.
+    orbit's canonical member, so ``size`` counts orbits, not triples,
+    and the root has one obligation per twin class of enabled events,
+    not one per event.  Twin obligations have the same orbits as
+    candidates, so the first one that fails, and the witness label, do
+    not change.
     """
 
     rank: dict

@@ -335,32 +335,29 @@ def _divergent_sets(es: PrimeEventStructure) -> frozenset:
 
 @derived_table
 def _twin_classes(es: PrimeEventStructure) -> tuple:
-    """Each event position's twin class id, or ``()`` when no swap applies.
+    """Each event position's twin class, or ``()`` when no swap applies.
 
     Twins share a label, a cause mask, a conflict mask and an above
     mask, so swapping two of them maps labels, causality and conflict
-    onto themselves; class ids count from 0 in order of first position.
-    The table is empty when no class has two members, or when swapping
-    some twin pair moves a divergent configuration out of the divergent
-    set: a structure built by hand can do that, a compiled tree cannot
-    (its twins lie in one prefix, which a divergent configuration holds
-    whole or not at all).  Swaps of each class's first member with each
-    other member generate every permutation within classes, so checking
-    them checks all.
+    onto themselves; a class is named by its least position.  The
+    table is empty when no class has two members, or when swapping some
+    twin pair moves a divergent configuration out of the divergent set:
+    a structure built by hand can do that, a compiled tree cannot (its
+    twins lie in one prefix, which a divergent configuration holds whole
+    or not at all).  Swaps of each class's least member with each other
+    member generate every permutation within classes, so checking them
+    checks all.
     """
     labels, causes, conflicts, above, _, divergent = es._masks
-    ids, classes, first = {}, [], []
-    for i, twin in enumerate(zip(labels, causes, conflicts, above)):
-        k = ids.setdefault(twin, len(ids))
-        if k == len(first):
-            first.append(i)
-        classes.append(k)
-    if len(ids) == len(classes):
+    first = {}
+    classes = [first.setdefault(twin, i) for i, twin
+               in enumerate(zip(labels, causes, conflicts, above))]
+    if len(first) == len(classes):
         return ()
     for i, k in enumerate(classes):
-        if i == first[k]:
+        if i == k:
             continue
-        swap = 1 << first[k] | 1 << i
+        swap = 1 << k | 1 << i
         for m in divergent:
             if m & swap not in (0, swap) and m ^ swap not in divergent:
                 return ()

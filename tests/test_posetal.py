@@ -280,10 +280,13 @@ def _twin_partition(es):
 
 
 def _same_partition(es, cls):
-    """Whether the library's twin table groups ``es``'s events as ``cls``."""
+    """Whether the library's twin table groups ``es``'s events as ``cls``
+    and names each class by its least position."""
     table = es_mod._twin_classes(es)
     if not table:
         return len(set(cls.values())) == len(es.events)
+    if any(table[a] != a or a > i for i, a in enumerate(table)):
+        return False
     pairs = {(i, j) for i, e in enumerate(es.events)
              for j, g in enumerate(es.events) if cls[e] == cls[g]}
     return pairs == {(i, j) for i, a in enumerate(table)
@@ -331,15 +334,20 @@ def _orbit_nodes(es1, es2, hereditary, space):
 # pairs a node drops
 SWAPPED_CHAINS = ("pomset{x1:x; y1:y; x2:x; y2:y; x1<y1; x2<y2}:0 + {a,a}:0",
                   "pomset{x1:x; y1:y; x2:x; y2:y; x1<y1; x2<y2}:W + {a,a}:0")
+# the cause of e maps into the class {b1, b2}, whose mask is g's cause
+# mask: the images cover half of that class, so e must not match g
+SPLIT_CLASS = ("pomset{x:b; y:b; e:c; x<e}:0",
+               "pomset{b1:b; b2:b; g:c; b1<g; b2<g}:0")
 
 
 def _repeated_label_pairs():
     """F1 pairs over label multisets with twins, pairs of the
-    ``SWAPPED_CHAINS`` processes, and seeded random pairs whose prefixes
-    are mostly steps with repeated labels."""
+    ``SWAPPED_CHAINS`` and of the ``SPLIT_CLASS`` processes, and seeded
+    random pairs whose prefixes are mostly steps with repeated labels."""
     pairs = [pq for m in ("aab", "aabbc", "aaabb") for pq in _f1_pairs(m)]
-    procs = [compiled(parse_term(text)) for text in SWAPPED_CHAINS]
-    pairs += [(p, q) for p in procs for q in procs]
+    for texts in (SWAPPED_CHAINS, SPLIT_CLASS):
+        procs = [compiled(parse_term(text)) for text in texts]
+        pairs += [(p, q) for p in procs for q in procs]
     for i in range(60):
         p, q = (compiled(random_tree(f"{side}{i}", 6, ("a", "a", "b"),
                                      max_prefix_events=3))
@@ -393,6 +401,35 @@ def test_ranks_are_constant_on_twin_orbits():
         if _engine.ranks(p, q, HHP).size < size:
             reduced += 1
     assert reduced >= 50  # the corpus exercises the reduction
+
+
+def _listings(es1, es2, hereditary):
+    """The candidate listings of the product's groups, both directions.
+
+    Asserts that no group lists a node twice and that the root has one
+    forward (backward) obligation per twin class of the left (right)
+    structure's initially enabled events."""
+    nodes, fwd, bwd = _engine._posetal_product(es1, es2, hereditary)
+    for (labels, groups), es in ((fwd[0], es1), (bwd[0], es2)):
+        cls = _twin_partition(es)
+        initial = {cls[e] for e in es.events if not es.causes[e]}
+        assert len(labels) == len(groups) == len(initial)
+    listed = 0
+    for _, groups in fwd + bwd:
+        for cands in groups:
+            assert len(set(cands)) == len(cands)
+            listed += len(cands)
+    return listed
+
+
+def test_each_orbit_is_listed_once():
+    for p, q in _repeated_label_pairs():
+        for hereditary in (False, True):
+            _listings(p.structure, q.structure, hereditary)
+    q_text = f1_terms("aaaabbbb")[1]
+    p, q = compiled(parse_term(q_text)), compiled(parse_term(q_text))
+    for hereditary in (False, True):
+        assert _listings(p.structure, q.structure, hereditary) <= 148
 
 
 def test_twin_free_products_are_unreduced():
